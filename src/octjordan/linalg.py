@@ -152,29 +152,6 @@ def inv(ring, a: np.ndarray) -> np.ndarray:
     return solve(ring, a, eye(ring, a.shape[0]))
 
 
-def solve_intertwiner(ring, targets, tol: float | None = None) -> list[np.ndarray]:
-    """Basis of {X : X P_j = Q_j X for all (P_j, Q_j)}.
-
-    The constraints are linear in the n^2 unknowns of X; with row-major
-    stacking, vec(X P - Q X) = (I kron P^T - Q kron I) vec(X).
-    """
-    if not targets:
-        raise ValueError("no constraints given")
-    n = targets[0][0].shape[0]
-    blocks = []
-    idn = eye(ring, n)
-    for pmat, qmat in targets:
-        if pmat.shape != (n, n) or qmat.shape != (n, n):
-            raise ValueError("all constraint matrices must be n x n")
-        blk = np.kron(idn, pmat.T) - np.kron(qmat, idn)
-        if not isinstance(ring, ComplexField):
-            blk = blk % ring.p
-        blocks.append(blk)
-    system = np.concatenate(blocks, axis=0)
-    ker = nullspace(ring, system, tol=tol)
-    return [ker[:, j].reshape(n, n) for j in range(ker.shape[1])]
-
-
 def random_skew(ring, n: int, rng: random.Random, fix_first: bool = False) -> np.ndarray:
     """Random skew-symmetric matrix; with fix_first, row/col 1 are zero."""
     if isinstance(ring, ComplexField):

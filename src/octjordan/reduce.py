@@ -43,7 +43,6 @@ GENERIC_TOL = 1e-8      # relative threshold on every proof denominator
 GN_TOL = 1e-10
 GN_MAX_ITERS = 50
 GN_RESTARTS = 20
-TRIALITY_TOL = 1e-10
 
 _RING = ComplexField()
 
@@ -145,7 +144,7 @@ def move_c_to_plane(t: HermitianTriple, target: int = 1):
         t2 = linalg.reflection_pair(t.ring, imvec, targetvec)
     except linalg.IsotropicVectorError as exc:
         raise NonGenericInput("move_c_to_plane", f"imaginary part of c is unusable: {exc}")
-    trip = lift_right_companion(t.ring, t2, tol=TRIALITY_TOL)
+    trip = lift_right_companion(t.ring, t2)
     return trip, spin7_act(trip, t)
 
 
@@ -201,7 +200,7 @@ def _random_stabilizer_move(rng: random.Random, fixed: int) -> TrialityTriple:
             skew += complex(rng.gauss(0, 0.5), rng.gauss(0, 0.5)) * m
         try:
             t2 = linalg.cayley_orthogonal(_RING, skew)
-            return lift_right_companion(_RING, t2, tol=TRIALITY_TOL)
+            return lift_right_companion(_RING, t2)
         except (linalg.SingularMatrixError, symmetry.LiftError):
             continue
     raise NonGenericInput("stabilizer rerandomization", "no usable stabilizer element")
@@ -249,10 +248,8 @@ def stabilizer_solve(t: HermitianTriple, rng: random.Random, step: str,
         for _ in range(GN_MAX_ITERS):
             rn = np.linalg.norm(r)
             if rn <= tol:
-                final = lift_right_companion(_RING, trip.t2, tol=TRIALITY_TOL)
-                if np.linalg.norm(final.t1 - trip.t1) > np.linalg.norm(final.t1 + trip.t1):
-                    final = TrialityTriple(_RING, -final.t1, final.t2)
-                return ("spin7", final), spin7_act(final, t)
+                trip.certified()
+                return ("spin7", trip), spin7_act(trip, t)
             h = 1e-7
             jac = np.empty((len(r), npar), dtype=complex)
             try:

@@ -3,13 +3,16 @@
 The group behind the twisted eigenvalue problem is the copy of Spin7 made
 of pairs (T1, T2) of orthogonal 8x8 matrices with T1(x) T2(y) = T1(xy) for
 all x, y; projecting to T2 double-covers the SO7 stabilizing the unit.
-Lifts are computed by linear intertwiner systems: the one-dimensional
-solution space makes the double cover concrete, and the normalization
-requires a square root which over F_p may fail (a retry signal, not an
-error).  Three actions on hermitian triples are provided: the twisted
-Spin7 action (T2 on c, T1 on a, the conjugation twist of T1 on b), the
-plain SO7 action entrywise, and transpose-congruence by 3x3 scalar
-matrices.
+The untwisted problem uses the other copy, T2(uv) = T1(u) T2(v).  Either
+companion is lifted through its first column: putting the unit e_1 into
+the defining identity gives T1 = L_u T2 with u = T1(e_1), or T2 = R_w T1
+with w = T2(e_1), and the remaining identities are linear in the 8
+unknowns of u or w.  The one-dimensional solution space makes the double
+cover concrete, and the normalization requires a square root which over
+F_p may fail (a retry signal, not an error).  Three actions on hermitian
+triples are provided: the twisted Spin7 action (T2 on c, T1 on a, the
+conjugation twist of T1 on b), the plain SO7 action entrywise, and
+transpose-congruence by 3x3 scalar matrices.
 """
 
 from __future__ import annotations
@@ -28,7 +31,9 @@ LIFT_TOL = 1e-10
 
 
 class LiftError(RuntimeError):
-    """The intertwiner system did not produce a usable companion."""
+    """The first-column system did not produce a usable companion: its
+    solution space is not one-dimensional, the solution is isotropic, or
+    the companion fails its defect certificate."""
 
 
 class NonResidueError(LiftError):
@@ -45,8 +50,8 @@ def _column_element(ring, m: np.ndarray, j: int) -> AlgebraElement:
     return AlgebraElement(ring, 3, tuple(m[:, j].tolist()))
 
 
-def triality_defect(ring, t1: np.ndarray, t2: np.ndarray):
-    """Worst violation of T1(e_i) T2(e_j) = T1(e_i e_j) over all 64 pairs.
+def _pair_defect(ring, a: np.ndarray, b: np.ndarray, c: np.ndarray):
+    """Worst violation of A(e_i) B(e_j) = C(e_i e_j) over all 64 pairs.
 
     Returns an exact integer count of failing pairs over a field, a float
     magnitude over the complex numbers.
@@ -54,19 +59,30 @@ def triality_defect(ring, t1: np.ndarray, t2: np.ndarray):
     tab = cayley.mult_table(3)
     approx = isinstance(ring, ComplexField)
     worst = 0.0 if approx else 0
-    cols1 = [_column_element(ring, t1, j) for j in range(8)]
-    cols2 = [_column_element(ring, t2, j) for j in range(8)]
+    cols_a, cols_b, cols_c = ([_column_element(ring, m, j) for j in range(8)]
+                              for m in (a, b, c))
     for i in range(8):
         for j in range(8):
-            lhs = cols1[i] * cols2[j]
+            lhs = cols_a[i] * cols_b[j]
             s, k = tab[i][j]
-            rhs = cols1[k] if s > 0 else -cols1[k]
+            rhs = cols_c[k] if s > 0 else -cols_c[k]
             if approx:
                 worst = max(worst, max(abs(p - q) for p, q in zip(lhs.coords, rhs.coords)))
             else:
                 if lhs.coords != rhs.coords:
                     worst += 1
     return worst
+
+
+def triality_defect(ring, t1: np.ndarray, t2: np.ndarray):
+    """Worst violation of T1(e_i) T2(e_j) = T1(e_i e_j) over all 64 pairs."""
+    return _pair_defect(ring, t1, t2, t1)
+
+
+def _certify(defect, what: str) -> None:
+    # a failing-pair count over F_p exceeds the tolerance as soon as it is 1
+    if defect > LIFT_TOL:
+        raise LiftError(f"{what}: defect {defect} after normalization")
 
 
 @dataclass(frozen=True)
@@ -83,6 +99,11 @@ class TrialityTriple:
 
     def defect(self):
         return triality_defect(self.ring, self.t1, self.t2)
+
+    def certified(self) -> "TrialityTriple":
+        """This pair, after checking its defect is within LIFT_TOL (else LiftError)."""
+        _certify(self.defect(), "triality pair")
+        return self
 
 
 def _canonical_sign(ring, m: np.ndarray) -> np.ndarray:
@@ -104,128 +125,92 @@ def _canonical_sign(ring, m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _normalize_orthogonal(ring, x: np.ndarray, what: str) -> np.ndarray:
-    """Rescale an intertwiner solution X (with X^T X scalar) to orthogonality."""
-    gram = linalg.matmul(ring, x.T, x)
-    c = gram[0, 0]
-    if isinstance(ring, ComplexField):
-        scale = float(np.max(np.abs(gram)))
-        if abs(c) <= 1e-12 * max(scale, 1e-300):
-            raise LiftError(f"{what}: degenerate normalization scalar")
-        if np.max(np.abs(gram - c * np.eye(8))) > 1e-8 * scale:
-            raise LiftError(f"{what}: solution is not conformal")
-        return _canonical_sign(ring, x / ring.sqrt(c))
-    p = ring.p
-    if c == 0 or np.any((gram - c * linalg.eye(ring, 8)) % p):
-        raise LiftError(f"{what}: solution is not conformal")
-    r = ring.sqrt(int(c))
-    if r is None:
-        raise NonResidueError(f"{what}: normalization scalar is a non-residue mod {p}")
-    return _canonical_sign(ring, (x * pow(r, -1, p)) % p)
+def _first_column_system(ring, m: np.ndarray, side: str) -> np.ndarray:
+    """The 512x8 linear system for the first column of the companion of m.
 
-
-def lift_right_companion(ring, t2: np.ndarray, tol: float = LIFT_TOL) -> TrialityTriple:
-    """Lift T2 in SO7 (fixing e_1) to the triality pair (T1, T2).
-
-    T1 spans the solutions of T1 R_{e_j} = R_{T2(e_j)} T1; the space must
-    be one-dimensional, which certifies T2 lies in the SO7 image.
+    side "right": m = T2 and the companion is T1 = L_u T2, where
+    u = T1(e_1) solves [s R_{T2(e_k)} - R_{T2(e_j)} R_{T2(e_i)}] u = 0 for
+    every basis product e_i e_j = s e_k.  side "left": m = T1 and the
+    companion is T2 = R_w T1, where w = T2(e_1) solves
+    [s L_{T1(e_k)} - L_{T1(e_i)} L_{T1(e_j)}] w = 0.
     """
-    pairs = []
-    for j in range(8):
-        pj = cayley.right_mult_matrix(cayley.basis(ring, 3, j))
-        qj = cayley.right_mult_matrix(_column_element(ring, t2, j))
-        pairs.append((pj, qj))
-    sols = linalg.solve_intertwiner(ring, pairs, tol=1e-9 if isinstance(ring, ComplexField) else None)
-    if len(sols) != 1:
-        raise LiftError(f"right companion: solution dimension {len(sols)}, "
-                        "T2 is not in the SO7 image")
-    t1 = _normalize_orthogonal(ring, sols[0], "right companion")
-    if not isinstance(ring, ComplexField):
-        t2 = t2 % ring.p
-    triple = TrialityTriple(ring, t1, t2)
-    d = triple.defect()
-    if (isinstance(ring, ComplexField) and d > tol) or (not isinstance(ring, ComplexField) and d):
-        raise LiftError(f"right companion: defect {d} after normalization")
-    return triple
+    right = side == "right"
+    tab = cayley.mult_table(3)
+    if isinstance(ring, ComplexField):
+        stack = cayley.right_basis_matrices(3) if right else cayley.left_basis_matrices(3)
+        byc = np.einsum("ij,ikl->jkl", m.astype(np.complex128), stack.astype(np.complex128))
+        sgn = np.array([[tab[i][j][0] for j in range(8)] for i in range(8)])
+        idx = np.array([[tab[i][j][1] for j in range(8)] for i in range(8)])
+        targets = sgn[:, :, None, None] * byc[idx]
+        prods = np.einsum("jab,ibc->ijac" if right else "iab,jbc->ijac", byc, byc)
+        return (targets - prods).reshape(512, 8)
+    mult = cayley.right_mult_matrix if right else cayley.left_mult_matrix
+    byc = [mult(_column_element(ring, m, j)) for j in range(8)]
+    blocks = []
+    for i in range(8):
+        for j in range(8):
+            s, k = tab[i][j]
+            a, b = (j, i) if right else (i, j)
+            blocks.append((s * byc[k] - linalg.matmul(ring, byc[a], byc[b])) % ring.p)
+    return np.concatenate(blocks, axis=0)
+
+
+def _first_column_companion(ring, m: np.ndarray, side: str) -> np.ndarray:
+    """The companion of m, with the canonical sign.
+
+    The kernel of the first-column system is the double-cover fiber, so it
+    must be one-dimensional; scaling its vector to unit norm needs a square
+    root.
+    """
+    system = _first_column_system(ring, m, side)
+    ker = linalg.nullspace(ring, system, tol=1e-9 if isinstance(ring, ComplexField) else None)
+    if ker.shape[1] != 1:
+        raise LiftError(f"{side} companion: solution dimension {ker.shape[1]}, "
+                        "the input is not in the SO7 image")
+    v = AlgebraElement(ring, 3, tuple(ker[:, 0].tolist()))
+    c = v.norm_sq()
+    if isinstance(ring, ComplexField):
+        if abs(c) <= 1e-12:
+            raise LiftError(f"{side} companion: isotropic first column")
+        unit = v.scale(1 / ring.sqrt(c))
+    else:
+        r = ring.sqrt(int(c))
+        if r is None:
+            raise NonResidueError(f"{side} companion: normalization scalar is a "
+                                  f"non-residue mod {ring.p}")
+        unit = v.scale(ring.inv(r))
+    factor = cayley.left_mult_matrix(unit) if side == "right" else cayley.right_mult_matrix(unit)
+    return _canonical_sign(ring, linalg.matmul(ring, factor, m))
 
 
 def fast_right_companion(ring, t2: np.ndarray) -> np.ndarray:
-    """The right-companion lift through its first column.
+    """T1 of the triality pair over T2, without a certificate.
 
-    Setting x = e1 in the triality identity gives T1 = L_u T2 with
-    u = T1(e1); u then solves the linear system
-    [R_{T2(e_i e_j)} - R_{T2(e_j)} R_{T2(e_i)}] u = 0 over all basis
-    pairs, whose solution space is the same one-dimensional double-cover
-    fiber as the full intertwiner system, at an 8-unknown cost.  Used in
-    optimization inner loops; agrees with lift_right_companion up to the
-    shared sign canonicalization.
+    The same first-column lift as lift_right_companion, for optimization
+    inner loops whose caller certifies only the accepted pair.
     """
-    tab = cayley.mult_table(3)
-    if isinstance(ring, ComplexField):
-        stack = cayley.right_basis_matrices(3).astype(np.complex128)
-        rbyc = np.einsum("ij,ikl->jkl", t2.astype(np.complex128), stack)
-        sgn = np.array([[tab[i][j][0] for j in range(8)] for i in range(8)])
-        idx = np.array([[tab[i][j][1] for j in range(8)] for i in range(8)])
-        targets = sgn[:, :, None, None] * rbyc[idx]
-        prods = np.einsum("jab,ibc->ijac", rbyc, rbyc)
-        system = (targets - prods).reshape(512, 8)
-    else:
-        rbyc = [cayley.right_mult_matrix(_column_element(ring, t2, j)) for j in range(8)]
-        blocks = []
-        for i in range(8):
-            for j in range(8):
-                s, k = tab[i][j]
-                blocks.append((s * rbyc[k] - linalg.matmul(ring, rbyc[j], rbyc[i])) % ring.p)
-        system = np.concatenate(blocks, axis=0)
-    ker = linalg.nullspace(ring, system, tol=1e-9 if isinstance(ring, ComplexField) else None)
-    if ker.shape[1] != 1:
-        raise LiftError(f"right companion: solution dimension {ker.shape[1]}, "
-                        "T2 is not in the SO7 image")
-    u = AlgebraElement(ring, 3, tuple(ker[:, 0].tolist()))
-    c = u.norm_sq()
-    if isinstance(ring, ComplexField):
-        if abs(c) <= 1e-12:
-            raise LiftError("right companion: isotropic first column")
-        t1 = cayley.left_mult_matrix(u.scale(1 / ring.sqrt(c))) @ t2
-        return _canonical_sign(ring, t1)
-    r = ring.sqrt(int(c))
-    if r is None:
-        raise NonResidueError("right companion: normalization scalar is a "
-                              f"non-residue mod {ring.p}")
-    t1 = linalg.matmul(ring, cayley.left_mult_matrix(u.scale(ring.inv(r))), t2)
-    return _canonical_sign(ring, t1)
+    return _first_column_companion(ring, t2, "right")
 
 
-def lift_left_companion(ring, t1: np.ndarray, tol: float = LIFT_TOL) -> np.ndarray:
+def lift_right_companion(ring, t2: np.ndarray) -> TrialityTriple:
+    """Lift T2 in SO7 (fixing e_1) to the triality pair (T1, T2).
+
+    The first-column lift followed by the triality_defect certificate.
+    """
+    if not isinstance(ring, ComplexField):
+        t2 = t2 % ring.p
+    return TrialityTriple(ring, _first_column_companion(ring, t2, "right"), t2).certified()
+
+
+def lift_left_companion(ring, t1: np.ndarray) -> np.ndarray:
     """Companion T2 with T2(uv) = T1(u) T2(v), for T1 in SO7 fixing e_1.
 
     This is the other Spin7 copy, the one acting in the untwisted problem;
-    only the lifted T2 matrix is returned.
+    only the lifted T2 matrix is returned, once it satisfies its defining
+    identity.
     """
-    pairs = []
-    for j in range(8):
-        pj = cayley.left_mult_matrix(cayley.basis(ring, 3, j))
-        qj = cayley.left_mult_matrix(_column_element(ring, t1, j))
-        pairs.append((pj, qj))
-    sols = linalg.solve_intertwiner(ring, pairs, tol=1e-9 if isinstance(ring, ComplexField) else None)
-    if len(sols) != 1:
-        raise LiftError(f"left companion: solution dimension {len(sols)}")
-    t2 = _normalize_orthogonal(ring, sols[0], "left companion")
-    # defining property: T2(e_i e_j) = T1(e_i) T2(e_j)
-    tab = cayley.mult_table(3)
-    approx = isinstance(ring, ComplexField)
-    cols1 = [_column_element(ring, t1, j) for j in range(8)]
-    cols2 = [_column_element(ring, t2, j) for j in range(8)]
-    for i in range(8):
-        for j in range(8):
-            lhs = cols1[i] * cols2[j]
-            s, k = tab[i][j]
-            rhs = cols2[k] if s > 0 else -cols2[k]
-            if approx:
-                if max(abs(p - q) for p, q in zip(lhs.coords, rhs.coords)) > tol:
-                    raise LiftError("left companion: defining property fails")
-            elif lhs.coords != rhs.coords:
-                raise LiftError("left companion: defining property fails")
+    t2 = _first_column_companion(ring, t1, "left")
+    _certify(_pair_defect(ring, t1, t2, t2), "left companion")
     return t2
 
 

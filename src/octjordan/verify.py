@@ -205,11 +205,19 @@ def _c8_equivariance(ring, rng):
         _fail("N_O conjugation equivariance fails", t.flatten())
 
 
+def _nonsingular(ring, draw):
+    """(H, det H) for the first draw with det H != 0; a singular congruence
+    would leave the covariance checks with nothing to test."""
+    while True:
+        h = linalg.field_array(ring, draw())
+        dh = linalg.det(ring, h)
+        if dh:
+            return h, dh
+
+
 def _c9_sl3_and_ratios(ring, rng):
-    h = linalg.field_array(ring, [[ring.random(rng) for _ in range(3)] for _ in range(3)])
-    dh = linalg.det(ring, h)
-    if dh == 0:
-        return  # measure-zero resample-free skip
+    h, dh = _nonsingular(ring, lambda: [[ring.random(rng) for _ in range(3)]
+                                        for _ in range(3)])
     points = [random_triple(ring, 3, rng) for _ in range(5)]
     dh4 = pow(int(dh), 4, ring.p)
     for t in points:
@@ -239,12 +247,9 @@ def _c9_sl3_and_ratios(ring, rng):
     # congruences mixing the third row into the first two break the twisted
     # kernel (an octonion-commutator obstruction), so the twisted invariants
     # are covariant exactly for the block subgroup fixing that split
-    hb = linalg.field_array(ring, [[ring.random(rng), ring.random(rng), 0],
-                                   [ring.random(rng), ring.random(rng), 0],
-                                   [0, 0, ring.random(rng)]])
-    dhb = linalg.det(ring, hb)
-    if dhb == 0:
-        return
+    hb, dhb = _nonsingular(ring, lambda: [[ring.random(rng), ring.random(rng), 0],
+                                          [ring.random(rng), ring.random(rng), 0],
+                                          [0, 0, ring.random(rng)]])
     db2, db4 = pow(int(dhb), 2, ring.p), pow(int(dhb), 4, ring.p)
     for t in points:
         moved = symmetry.sl3_act(ring, hb, t)

@@ -3,12 +3,12 @@ import random
 import numpy as np
 import pytest
 
-from octjordan import cayley, linalg
+from octjordan import linalg
 from octjordan.coeffs import ComplexField, PrimeField, derive_rng
 from octjordan.linalg import (IsotropicVectorError, SingularMatrixError,
                               cayley_orthogonal, det, eye, field_array, inv,
                               matmul, nullspace, random_skew, rank,
-                              reflection_pair, solve_intertwiner)
+                              reflection_pair)
 
 P31 = 2**31 - 1
 F = PrimeField(P31)
@@ -65,34 +65,6 @@ def test_solve_and_inv():
     assert np.array_equal(matmul(F, a, inv(F, a)), eye(F, 6))
     with pytest.raises(SingularMatrixError):
         linalg.solve(F, field_array(F, np.zeros((3, 3), dtype=int)), eye(F, 3))
-
-
-def test_intertwiner_trivial_full_space():
-    basis_x = solve_intertwiner(F, [(eye(F, 3), eye(F, 3))])
-    assert len(basis_x) == 9
-
-
-def test_intertwiner_contains_identity():
-    pairs = [(cayley.right_mult_matrix(cayley.basis(F, 3, j)),) * 2 for j in range(8)]
-    sols = solve_intertwiner(F, [(p, q) for p, q in pairs])
-    stacked = np.array([s.reshape(64) for s in sols] + [np.eye(8, dtype=np.int64).reshape(64)])
-    assert rank(F, field_array(F, stacked)) == len(sols)  # I8 is in the span
-
-
-def test_intertwiner_spin_fiber_dimension():
-    # for T2 in the SO7 image, the right-companion system has a 1-dim solution
-    rng = derive_rng(0, "fiber")
-    skew = random_skew(F, 8, rng, fix_first=True)
-    t2 = cayley_orthogonal(F, skew)
-    pairs = [(cayley.right_mult_matrix(cayley.basis(F, 3, j)),
-              cayley.right_mult_matrix(cayley.AlgebraElement(F, 3, tuple(t2[:, j].tolist()))))
-             for j in range(8)]
-    sols = solve_intertwiner(F, pairs)
-    assert len(sols) == 1
-    # the solution satisfies every constraint exactly
-    x = sols[0]
-    for p, q in pairs:
-        assert np.array_equal(matmul(F, x, p), matmul(F, q, x))
 
 
 def test_cayley_orthogonal_field():

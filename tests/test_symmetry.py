@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from octjordan import cayley, linalg
+from octjordan import cayley, linalg, symmetry
 from octjordan.coeffs import ComplexField, PrimeField, derive_rng
 from octjordan.jordan import (HermitianTriple, build_M, build_N, det_cartan,
                               random_triple, s_odm, twisted_cubic,
@@ -173,23 +173,83 @@ def test_sl3_spin7_rank_preservation_on_degenerate_point():
     assert linalg.rank(F, build_N(sl3_act(F, hb, a))) == r0
 
 
-def test_fast_lift_agrees_with_intertwiner_lift():
+def test_fast_lift_is_the_unique_orthogonal_companion():
+    # the fiber is one-dimensional, so the solutions are the multiples of T1;
+    # orthogonality leaves T1 and -T1, and the canonical sign picks one
     rng = derive_rng(0, "fastagree")
     for _ in range(3):
         t2 = random_so7(C, rng)
-        slow = lift_right_companion(C, t2)
-        fast = fast_right_companion(C, t2)
-        assert np.linalg.norm(slow.t1 - fast) < 1e-9
+        t1 = fast_right_companion(C, t2)
+        assert triality_defect(C, t1, t2) <= 1e-10
+        assert triality_defect(C, -t1, t2) <= 1e-10
+        assert np.linalg.norm(t1.T @ t1 - np.eye(8)) < 1e-10
+        assert linalg.nullspace(C, symmetry._first_column_system(C, t2, "right"),
+                                tol=1e-9).shape[1] == 1
     for _ in range(16):
         t2 = random_so7(F, rng)
         try:
-            slow = lift_right_companion(F, t2)
+            t1 = fast_right_companion(F, t2)
         except LiftError:
             continue
-        assert np.array_equal(slow.t1, fast_right_companion(F, t2))
+        assert triality_defect(F, t1, t2) == 0
+        assert triality_defect(F, (-t1) % P31, t2) == 0
+        assert np.array_equal(linalg.matmul(F, t1.T, t1), linalg.eye(F, 8))
+        assert linalg.nullspace(F, symmetry._first_column_system(F, t2, "right")).shape[1] == 1
+        assert np.array_equal(lift_right_companion(F, t2).t1, t1)
         break
     else:
         pytest.fail("no liftable T2 found over the field")
+
+
+def test_first_column_fiber_contains_identity():
+    # for the identity both systems have the unit e_1 as their only solution
+    e1 = linalg.field_array(F, [[1], [0], [0], [0], [0], [0], [0], [0]])
+    for side in ("right", "left"):
+        ker = linalg.nullspace(F, symmetry._first_column_system(F, linalg.eye(F, 8), side))
+        assert ker.shape[1] == 1
+        assert linalg.rank(F, np.concatenate([ker, e1], axis=1)) == 1
+
+
+def test_first_column_fiber_dimension():
+    # for T2 in the SO7 image the right system has a 1-dim solution space,
+    # and T1 = L_u T2 satisfies every intertwiner constraint
+    # T1 R_{e_j} = R_{T2(e_j)} T1 exactly, before any normalization
+    rng = derive_rng(0, "fiber")
+    t2 = random_so7(F, rng)
+    ker = linalg.nullspace(F, symmetry._first_column_system(F, t2, "right"))
+    assert ker.shape[1] == 1
+    u = cayley.AlgebraElement(F, 3, tuple(ker[:, 0].tolist()))
+    x = linalg.matmul(F, cayley.left_mult_matrix(u), t2)
+    for j in range(8):
+        p = cayley.right_mult_matrix(cayley.basis(F, 3, j))
+        q = cayley.right_mult_matrix(cayley.AlgebraElement(F, 3, tuple(t2[:, j].tolist())))
+        assert np.array_equal(linalg.matmul(F, x, p), linalg.matmul(F, q, x))
+    # likewise T2 = R_w T1 intertwines L_{e_j} with L_{T1(e_j)} on the left side
+    t1 = random_so7(F, rng)
+    ker = linalg.nullspace(F, symmetry._first_column_system(F, t1, "left"))
+    assert ker.shape[1] == 1
+    w = cayley.AlgebraElement(F, 3, tuple(ker[:, 0].tolist()))
+    x = linalg.matmul(F, cayley.right_mult_matrix(w), t1)
+    for j in range(8):
+        p = cayley.left_mult_matrix(cayley.basis(F, 3, j))
+        q = cayley.left_mult_matrix(cayley.AlgebraElement(F, 3, tuple(t1[:, j].tolist())))
+        assert np.array_equal(linalg.matmul(F, x, p), linalg.matmul(F, q, x))
+
+
+def test_lift_left_complex():
+    rng = derive_rng(0, "liftlc")
+    for _ in range(3):
+        t1 = random_so7(C, rng)
+        t2 = lift_left_companion(C, t1)
+        assert symmetry._pair_defect(C, t1, t2, t2) <= 1e-10
+        assert np.linalg.norm(t2.T @ t2 - np.eye(8)) < 1e-10
+
+
+def test_lift_left_rejects_non_so7():
+    rng = derive_rng(0, "rejectl")
+    bad = linalg.cayley_orthogonal(F, linalg.random_skew(F, 8, rng, fix_first=False))
+    with pytest.raises(LiftError):
+        lift_left_companion(F, bad)
 
 
 def test_triality_defect_counts():

@@ -1,6 +1,6 @@
 import pytest
 
-from octjordan import cayley, jordan, verify
+from octjordan import cayley, jordan, symmetry, verify
 from octjordan.cayley import basis, random_element
 from octjordan.coeffs import PrimeField, derive_rng
 from octjordan.verify import (charpoly_factor_check, check_ids,
@@ -116,3 +116,18 @@ def test_charpoly_random():
         a, b, c = (random_element(F, 3, rng) for _ in range(3))
         status, msg = charpoly_factor_check(a, b, c, F.random(rng))
         assert status == "pass", msg
+
+
+def test_c9_redraws_a_singular_congruence(monkeypatch):
+    # at p=29, seed 0, trial 72 of C9 draws a singular H first; the trial
+    # must redraw it and still test the covariances
+    calls = []
+    sl3_act = symmetry.sl3_act
+
+    def counting(*args):
+        calls.append(1)
+        return sl3_act(*args)
+
+    monkeypatch.setattr(symmetry, "sl3_act", counting)
+    verify._c9_sl3_and_ratios(PrimeField(29), derive_rng(0, "C9", 72))
+    assert calls
