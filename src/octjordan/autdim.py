@@ -11,6 +11,15 @@ space of six variables; its rank r bounds the automorphism Lie algebra
 of the sextic by dim <= 162 - r.  At a generic point the rank is 133,
 which matches 162 - 29 with 29 = dim SO7 + dim SL3.
 
+The restriction runs level by level.  A plan, built once from the
+gradient, stores the prefix tree of the terms' sorted index multisets as
+int64 arrays (one parent slot and one last variable per node); it does
+not depend on the chart, so every retry reuses it.  For a chart, levels
+1-4 of the tree are expanded as whole batches, and the degree-5 top level
+is contracted with the coefficients one partial at a time.  Every product
+is reduced mod p before it is summed, so every prime PolyRing accepts
+stays in int64.
+
 The rank over F_p at a rational point lower-bounds the characteristic-0
 rank at the same point (semicontinuity), so the reported bound uses the
 maximum rank over the retries and is safe in the monotone direction.
@@ -23,6 +32,7 @@ from __future__ import annotations
 import time
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from typing import NamedTuple
 
 import numpy as np
 
@@ -241,51 +251,90 @@ def _raise_map(degree: int, var: int) -> np.ndarray:
     return out
 
 
-class _Restrictor:
-    """Expands monomials in the 27 variables through x_i <- sum_j m[i,j] z_j,
-    memoizing on sorted index multisets so shared prefixes are reused."""
+class RestrictionPlan(NamedTuple):
+    """Prefix tree of the gradient's terms, independent of the chart.
 
-    def __init__(self, m: np.ndarray, p: int):
-        self.p = p
-        self.rows = [np.array(m[i], dtype=np.int64) % p for i in range(N_VARS)]
-        self.memo: dict = {(): np.ones(1, dtype=np.int64)}
+    Every term of a quintic partial is a sorted multiset of five variable
+    indices.  Level k (k = 1..5) holds the distinct length-k prefixes:
+    parent[k-1][s] is the level-(k-1) slot of prefix s with its last index
+    dropped, last[k-1][s] is that last index.  terms has one row per term,
+    (partial, level-5 slot, coefficient), grouped by partial.
+    """
 
-    def monomial(self, multiset: tuple) -> np.ndarray:
-        cached = self.memo.get(multiset)
-        if cached is not None:
-            return cached
-        prev = self.monomial(multiset[:-1])
-        deg = len(multiset)
-        row = self.rows[multiset[-1]]
-        out = np.zeros(len(_monomials(deg)), dtype=np.int64)
+    parent: tuple
+    last: tuple
+    terms: np.ndarray
+    n_partials: int
+
+
+def restriction_plan(partials: list) -> RestrictionPlan:
+    """The prefix tree of the partials' terms; every term must have degree 5."""
+    owner, exps, coeffs = [], [], []
+    for i, part in enumerate(partials):
+        owner += [i] * len(part)
+        exps += part.terms.keys()
+        coeffs += part.terms.values()
+    n = partials[0].n
+    exps = np.array(exps, dtype=np.int64).reshape(len(owner), n)
+    degrees = exps.sum(axis=1)
+    bad = np.flatnonzero(degrees != 5)
+    if bad.size:
+        raise ValueError(f"partial {owner[bad[0]]} has a term of degree "
+                         f"{degrees[bad[0]]}; the restriction needs homogeneous "
+                         "quintic partials")
+    multisets = np.repeat(np.tile(np.arange(n), len(exps)), exps.ravel()).reshape(-1, 5)
+    parent, last = [], []
+    key = np.zeros(len(exps), dtype=np.int64)     # prefix as base-n digits
+    slot = np.zeros(len(exps), dtype=np.int64)    # level 0: the empty prefix
+    for k in range(5):
+        key = key * n + multisets[:, k]
+        _, first, slot_k = np.unique(key, return_index=True, return_inverse=True)
+        parent.append(slot[first])
+        last.append(multisets[first, k])
+        slot = slot_k
+    terms = np.column_stack([owner, slot, coeffs]).astype(np.int64)
+    return RestrictionPlan(tuple(parent), tuple(last), terms, len(partials))
+
+
+def _raise_level(prev: np.ndarray, coef: np.ndarray, degree: int, p: int) -> np.ndarray:
+    """Columns prev (degree d-1, one per node) times the linear forms
+    sum_j coef[j] z_j, in the degree-d basis.  Every product is reduced
+    before it is added, so any int64-safe p stays in int64."""
+    out = np.zeros((len(_monomials(degree)), prev.shape[1]), dtype=np.int64)
+    for j in range(CHART_VARS):
+        out[_raise_map(degree, j)] += prev * coef[j] % p
+    return out % p
+
+
+def _restrict(plan: RestrictionPlan, m: np.ndarray, p: int) -> np.ndarray:
+    """The partials restricted through x_i <- sum_j m[i,j] z_j, one row per
+    partial, in the fixed graded-lex basis of degree-5 monomials.
+
+    Levels 1-4 of the prefix tree are expanded as whole batches; the top
+    level is contracted with the coefficients one partial at a time, so the
+    degree-5 image of every single term is never materialized."""
+    m = np.asarray(m, dtype=np.int64) % p
+    level = np.ones((1, 1), dtype=np.int64)
+    for k in range(4):
+        level = _raise_level(level[:, plan.parent[k]], m[plan.last[k]].T, k + 1, p)
+    out = np.zeros((plan.n_partials, len(_monomials(5))), dtype=np.int64)
+    for i in range(plan.n_partials):
+        _, slot, coeff = plan.terms[plan.terms[:, 0] == i].T
+        below = level[:, plan.parent[4][slot]]
+        scale = m[plan.last[4][slot]].T * coeff % p
         for j in range(CHART_VARS):
-            if row[j]:
-                out[_raise_map(deg, j)] = (out[_raise_map(deg, j)] + prev * int(row[j])) % self.p
-        self.memo[multiset] = out
-        return out
-
-    def restrict(self, poly: SparsePoly, degree: int) -> np.ndarray:
-        """Image of a homogeneous degree-d polynomial, as a dense coefficient
-        vector in the fixed graded-lex basis."""
-        out = np.zeros(len(_monomials(degree)), dtype=np.int64)
-        for e, c in poly.terms.items():
-            multiset = []
-            for i, k in enumerate(e):
-                multiset.extend([i] * k)
-            out = (out + self.monomial(tuple(multiset)) * c) % self.p
-        return out
+            out[i, _raise_map(5, j)] += (below * scale[j] % p).sum(axis=1) % p
+    return out % p
 
 
-def jacobian_image_rank(partials: list, m: np.ndarray, prime: int) -> int:
+def jacobian_image_rank(plan: RestrictionPlan, m: np.ndarray, prime: int) -> int:
     """Rank of the 162 x 462 coefficient matrix of z_j * (dS/dx_i restricted
     through m), in the degree-6 space of the six chart variables."""
-    restrictor = _Restrictor(m, prime)
-    rows = np.zeros((CHART_ROWS, DEGREE6_DIM), dtype=np.int64)
-    for i, part in enumerate(partials):
-        vec = restrictor.restrict(part, 5)
-        for j in range(CHART_VARS):
-            rows[i * CHART_VARS + j][_raise_map(6, j)] = vec
-    return linalg.rank(PrimeField(prime), rows)
+    restricted = _restrict(plan, m, prime)
+    rows = np.zeros((len(restricted), CHART_VARS, DEGREE6_DIM), dtype=np.int64)
+    for j in range(CHART_VARS):
+        rows[:, j, _raise_map(6, j)] = restricted
+    return linalg.rank(PrimeField(prime), rows.reshape(-1, DEGREE6_DIM))
 
 
 def random_restriction(prime: int, rng) -> np.ndarray:
@@ -303,12 +352,12 @@ def aut_dimension_bound(prime: int, seed: int, retries: int,
     start = time.perf_counter()
     poly = expand_sodm(prime) if invariant == "sodm" else expand_twisted_sextic(prime)
     expand_elapsed = time.perf_counter() - start
-    partials = gradient(poly, prime)
+    plan = restriction_plan(gradient(poly, prime))
     ranks = []
     for k in range(retries):
         rng = derive_rng(seed, "autdim", invariant, k)
         m = random_restriction(prime, rng)
-        ranks.append(jacobian_image_rank(partials, m, prime))
+        ranks.append(jacobian_image_rank(plan, m, prime))
     report = {
         "prime": prime,
         "seed": seed,

@@ -64,22 +64,20 @@ def _echelon(p: int, a: np.ndarray):
     detf = 1
     r = 0
     for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if m[i, c] != 0:
-                piv = i
-                break
-        if piv is None:
+        nz = np.flatnonzero(m[r:, c])
+        if not nz.size:
             continue
+        piv = r + int(nz[0])
         if piv != r:
             m[[r, piv]] = m[[piv, r]]
             detf = p - detf if detf else 0
         inv = pow(int(m[r, c]), -1, p)
         detf = detf * int(m[r, c]) % p
-        m[r] = (m[r] * inv) % p
-        for i in range(rows):
-            if i != r and m[i, c] != 0:
-                m[i] = (m[i] - m[i, c] * m[r]) % p
+        m[r, c:] = m[r, c:] * inv % p
+        # row r is zero left of c, so the update touches columns c: only
+        others = np.flatnonzero(m[:, c])
+        others = others[others != r]
+        m[others, c:] = (m[others, c:] - np.outer(m[others, c], m[r, c:])) % p
         pivcols.append(c)
         r += 1
         if r == rows:
@@ -124,10 +122,8 @@ def nullspace(ring, a: np.ndarray, tol: float | None = None) -> np.ndarray:
     cols = a.shape[1]
     free = [c for c in range(cols) if c not in pivcols]
     basis = np.zeros((cols, len(free)), dtype=m.dtype)
-    for j, fc in enumerate(free):
-        basis[fc, j] = 1
-        for i, pc in enumerate(pivcols):
-            basis[pc, j] = (-m[i, fc]) % p
+    basis[free, range(len(free))] = 1
+    basis[pivcols] = (-m[:len(pivcols), free]) % p
     return basis
 
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from octjordan.autdim import (CHART_ROWS, PolyRing, SparsePoly,
-                              aut_dimension_bound, expand_sodm, gradient,
-                              jacobian_image_rank, random_restriction,
+from octjordan.autdim import (CHART_ROWS, CHART_VARS, PolyRing, SparsePoly,
+                              _monomials, _restrict, aut_dimension_bound,
+                              expand_sodm, gradient, jacobian_image_rank,
+                              random_restriction, restriction_plan,
                               symbolic_triple)
 from octjordan.coeffs import PrimeField, derive_rng
 from octjordan.jordan import random_triple, s_odm
@@ -79,24 +80,54 @@ def test_expansion_agrees_with_direct_evaluation(prime):
 
 def test_jacobian_rank_zero_map():
     p = 313
-    parts = gradient(expand_sodm(p), p)
-    assert jacobian_image_rank(parts, np.zeros((27, 6), dtype=np.int64), p) == 0
+    plan = restriction_plan(gradient(expand_sodm(p), p))
+    assert jacobian_image_rank(plan, np.zeros((27, 6), dtype=np.int64), p) == 0
 
 
 def test_jacobian_rank_133_mod_313():
     p = 313
-    parts = gradient(expand_sodm(p), p)
+    plan = restriction_plan(gradient(expand_sodm(p), p))
     rng = derive_rng(0, "rank313")
-    r = jacobian_image_rank(parts, random_restriction(p, rng), p)
+    r = jacobian_image_rank(plan, random_restriction(p, rng), p)
     assert r == 133
     assert r <= CHART_ROWS
 
 
 def test_jacobian_rank_133_survives_large_prime_rerun():
     # semicontinuity: rerunning over a large prime still reaches 133
-    parts = gradient(expand_sodm(P31), P31)
+    plan = restriction_plan(gradient(expand_sodm(P31), P31))
     rng = derive_rng(0, "rankbig")
-    assert jacobian_image_rank(parts, random_restriction(P31, rng), P31) == 133
+    assert jacobian_image_rank(plan, random_restriction(P31, rng), P31) == 133
+
+
+@pytest.mark.parametrize("prime", [313, P31])
+def test_restriction_evaluates_the_partials_on_the_chart(prime):
+    # row_i evaluated at z equals dS/dx_i evaluated at x = m z
+    parts = gradient(expand_sodm(prime), prime)
+    rng = derive_rng(0, "restrict", prime)
+    m = random_restriction(prime, rng)
+    rows = _restrict(restriction_plan(parts), m, prime)
+    assert rows.shape == (27, len(_monomials(5)))
+    for _ in range(3):
+        z = [rng.randrange(prime) for _ in range(CHART_VARS)]
+        x = [sum(int(a) * b for a, b in zip(row, z)) % prime for row in m]
+        powers = [SparsePoly(CHART_VARS, {e: 1}).eval(z, prime) for e in _monomials(5)]
+        for row, part in zip(rows, parts):
+            image = sum(int(c) * w for c, w in zip(row, powers)) % prime
+            assert image == part.eval(x, prime)
+
+
+def test_restriction_plan_rejects_a_non_quintic_partial():
+    p = 313
+    ring = PolyRing(p, 27)
+    quintic = ring.variable(0)
+    for v in (1, 2, 3, 4):
+        quintic = quintic.mul(ring.variable(v), p)
+    quartic = SparsePoly(27, {(1, 1, 1, 1) + (0,) * 23: 3})
+    plan = restriction_plan([quintic, quintic])
+    assert plan.terms.shape == (2, 3)
+    with pytest.raises(ValueError, match="partial 1 has a term of degree 4"):
+        restriction_plan([quintic, quintic.add(quartic, p)])
 
 
 def test_aut_dimension_bound_reports():

@@ -133,3 +133,88 @@ def test_reflection_pair_field():
         cross = (np.outer(img, v) - np.outer(v, img)) % P31
         assert not np.any(cross)
         done += 1
+
+
+# --- exact elimination against a pure-Python reference, in all three integer
+# regimes: small p, int64 with products near 2^62, and object dtype
+
+ELIMINATION_PRIMES = [313, P31, 2**61 - 1]
+
+
+def reference_rank_det(rows, p):
+    """Gaussian elimination on Python ints: (rank, det) of a list of rows;
+    det is only meaningful for square input."""
+    m = [[x % p for x in row] for row in rows]
+    rk, d = 0, 1
+    for c in range(len(m[0])):
+        piv = next((i for i in range(rk, len(m)) if m[i][c]), None)
+        if piv is None:
+            d = 0
+            continue
+        if piv != rk:
+            m[rk], m[piv] = m[piv], m[rk]
+            d = -d
+        d = d * m[rk][c]
+        inv_c = pow(m[rk][c], -1, p)
+        for i in range(rk + 1, len(m)):
+            f = m[i][c] * inv_c % p
+            m[i] = [(a - f * b) % p for a, b in zip(m[i], m[rk])]
+        rk += 1
+    return rk, d % p
+
+
+def known_rank(p, rows, cols, r, rng):
+    """B A with B = [I_r; *] and A = [I_r | *], rows and columns shuffled:
+    the identity block makes the rank exactly r."""
+    b = [[int(i == j) for j in range(r)] for i in range(r)]
+    b += [[rng.randrange(p) for _ in range(r)] for _ in range(rows - r)]
+    a = [[int(i == j) for j in range(r)] + [rng.randrange(p) for _ in range(cols - r)]
+         for i in range(r)]
+    prod = [[sum(b[i][k] * a[k][j] for k in range(r)) % p for j in range(cols)]
+            for i in range(rows)]
+    rng.shuffle(prod)
+    perm = list(range(cols))
+    rng.shuffle(perm)
+    return [[row[j] for j in perm] for row in prod]
+
+
+@pytest.mark.parametrize("p", ELIMINATION_PRIMES)
+@pytest.mark.parametrize("rows, cols, r", [(12, 5, 5), (5, 12, 5), (9, 11, 4),
+                                            (8, 8, 5), (7, 7, 0)])
+def test_echelon_rank_and_nullspace_match_reference(p, rows, cols, r):
+    ring = PrimeField(p)
+    rng = derive_rng(0, "echelon", p, rows, cols, r)
+    for _ in range(3):
+        raw = known_rank(p, rows, cols, r, rng)
+        a = field_array(ring, raw)
+        assert a.dtype == (np.int64 if ring.int64_safe else object)
+        assert rank(ring, a) == r == reference_rank_det(raw, p)[0]
+        ker = nullspace(ring, a)
+        assert ker.shape == (cols, cols - r)
+        assert not np.any(matmul(ring, a, ker))
+        assert rank(ring, ker) == cols - r
+        if rows == cols:
+            assert det(ring, a) == reference_rank_det(raw, p)[1]
+            assert (det(ring, a) != 0) == (r == rows)
+
+
+@pytest.mark.parametrize("p", ELIMINATION_PRIMES)
+def test_det_solve_inv_match_reference(p):
+    ring = PrimeField(p)
+    rng = derive_rng(0, "det-solve", p)
+    n = 9
+    for _ in range(3):
+        raw_a = known_rank(p, n, n, n, rng)
+        raw_b = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        a, b = field_array(ring, raw_a), field_array(ring, raw_b)
+        da = det(ring, a)
+        assert da == reference_rank_det(raw_a, p)[1] != 0
+        assert det(ring, b) == reference_rank_det(raw_b, p)[1]
+        assert det(ring, a[[1, 0] + list(range(2, n))]) == (-da) % p
+        assert det(ring, matmul(ring, a, b)) == da * det(ring, b) % p
+        x = linalg.solve(ring, a, b)
+        assert np.array_equal(matmul(ring, a, x), b)
+        rhs = b[:, 0]
+        assert np.array_equal(matmul(ring, a, linalg.solve(ring, a, rhs)), rhs)
+        assert np.array_equal(matmul(ring, a, inv(ring, a)), eye(ring, n))
+        assert np.array_equal(matmul(ring, inv(ring, a), a), eye(ring, n))
