@@ -239,19 +239,8 @@ def _mult_matrix(x: AlgebraElement, right: bool) -> np.ndarray:
     if r.kind == "approx":
         vec = np.array(x.coords, dtype=np.complex128)
         return np.tensordot(vec, stack.astype(np.complex128), axes=(0, 0))
-    if getattr(r, "int64_safe", False):
-        vec = np.array(x.coords, dtype=np.int64)
-        # entries are +-x_i, no reduction needed
-        return np.tensordot(vec, stack, axes=(0, 0))
-    n = 1 << x.level
-    out = np.zeros((n, n), dtype=object)
-    out[:] = r.zero
-    tab = mult_table(x.level)
-    for i, xi in enumerate(x.coords):
-        for c in range(n):
-            s, k = (tab[c][i] if right else tab[i][c])
-            out[k, c] = xi if s > 0 else r.neg(xi)
-    return out
+    vec = np.array(x.coords, dtype=np.int64 if r.int64_safe else object)
+    return np.tensordot(vec, stack, axes=(0, 0)) % r.p
 
 
 def associator(c: AlgebraElement, b: AlgebraElement, a: AlgebraElement) -> AlgebraElement:

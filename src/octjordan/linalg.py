@@ -1,8 +1,10 @@
 """Dense linear algebra over prime fields and over complex floats.
 
-Field matrices are numpy arrays of int64 residues (object dtype for moduli
-past the int64-safe bound); all elimination steps reduce mod p immediately
-after each scalar product, so no intermediate overflows.  Complex matrices
+Field matrices are numpy arrays of int64 residues at every prime up to
+coeffs.INT64_SAFE_MODULUS, and of Python ints (object dtype) past it; all
+elimination steps reduce mod p immediately after each scalar product, and
+products whose sums could pass 2^63 split the left factor into 16-bit limbs
+(see matmul), so no intermediate overflows.  Complex matrices
 are complex128 and the rank/nullspace decisions go through singular values
 with a tolerance relative to the largest one.
 """
@@ -30,6 +32,12 @@ def _sum_safe(p: int, n: int) -> bool:
     return n * (p - 1) * (p - 1) < (1 << 63) - 1
 
 
+def _limb_safe(p: int, n: int) -> bool:
+    # for |a| < p < 2^32, |a >> 16| <= 2^16 and 0 <= a & 0xFFFF < 2^16, so
+    # every partial sum of the split product is below (n + 1) 2^16 (p - 1)
+    return p < 1 << 32 and (n + 1) * (p - 1) << 16 < (1 << 63) - 1
+
+
 def field_array(ring: PrimeField, rows) -> np.ndarray:
     dtype = np.int64 if ring.int64_safe else object
     return np.array(rows, dtype=dtype) % ring.p
@@ -42,15 +50,27 @@ def eye(ring, n: int) -> np.ndarray:
 
 
 def matmul(ring, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact product over F_p (widening to Python ints when sums could
-    overflow int64), plain product over the complex field."""
+    """Product with np.matmul semantics (stacks broadcast): exact residues
+    over F_p, the plain product over the complex field.
+
+    Over F_p, int64 operands with entries in (-p, p) stay int64.  When the
+    k = a.shape[-1] products of one sum could pass 2^63, the left factor is
+    split into 16-bit limbs, a = (a >> 16) 2^16 + (a & 0xFFFF), and
+    a b = (((a >> 16) b mod p) 2^16 + (a & 0xFFFF) b) mod p; every partial
+    sum then stays below (k + 1) 2^16 p, which is below 2^63 for k < 2^15
+    at every prime up to coeffs.INT64_SAFE_MODULUS.  Object operands, larger
+    primes and longer sums widen to Python ints.
+    """
     if isinstance(ring, ComplexField):
         return a @ b
     p = ring.p
-    k = a.shape[1] if a.ndim == 2 else a.shape[0]
-    if a.dtype == np.int64 and b.dtype == np.int64 and _sum_safe(p, k):
-        return (a @ b) % p
-    out = np.dot(a.astype(object), b.astype(object)) % p
+    k = a.shape[-1]
+    if a.dtype == np.int64 and b.dtype == np.int64:
+        if _sum_safe(p, k):
+            return (a @ b) % p
+        if _limb_safe(p, k):
+            return ((a >> 16) @ b % p * (1 << 16) + (a & 0xFFFF) @ b) % p
+    out = (a.astype(object) @ b.astype(object)) % p
     if ring.int64_safe:
         return out.astype(np.int64)
     return out

@@ -46,8 +46,16 @@ def apply_matrix(ring, m: np.ndarray, x: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(ring, x.level, tuple(out.tolist()))
 
 
-def _column_element(ring, m: np.ndarray, j: int) -> AlgebraElement:
-    return AlgebraElement(ring, 3, tuple(m[:, j].tolist()))
+# structure constants e_i e_j = _SIGN[i, j] e_{_INDEX[i, j]} of the octonions
+_SIGN = np.array([[s for s, _ in row] for row in cayley.mult_table(3)])
+_INDEX = np.array([[k for _, k in row] for row in cayley.mult_table(3)])
+
+
+def _column_mult_stack(ring, m: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Multiplication matrices by the columns of m: entry j is sum_i m[i, j] stack[i]."""
+    if isinstance(ring, ComplexField):
+        return np.einsum("ij,ikl->jkl", m.astype(np.complex128), stack.astype(np.complex128))
+    return np.tensordot(m, stack, axes=(0, 0)) % ring.p
 
 
 def _pair_defect(ring, a: np.ndarray, b: np.ndarray, c: np.ndarray):
@@ -56,22 +64,13 @@ def _pair_defect(ring, a: np.ndarray, b: np.ndarray, c: np.ndarray):
     Returns an exact integer count of failing pairs over a field, a float
     magnitude over the complex numbers.
     """
-    tab = cayley.mult_table(3)
-    approx = isinstance(ring, ComplexField)
-    worst = 0.0 if approx else 0
-    cols_a, cols_b, cols_c = ([_column_element(ring, m, j) for j in range(8)]
-                              for m in (a, b, c))
-    for i in range(8):
-        for j in range(8):
-            lhs = cols_a[i] * cols_b[j]
-            s, k = tab[i][j]
-            rhs = cols_c[k] if s > 0 else -cols_c[k]
-            if approx:
-                worst = max(worst, max(abs(p - q) for p, q in zip(lhs.coords, rhs.coords)))
-            else:
-                if lhs.coords != rhs.coords:
-                    worst += 1
-    return worst
+    # entry [i, :, j] of both sides is a coordinate vector: L_{A(e_i)} B(e_j)
+    # on the left, s C(e_k) with e_i e_j = s e_k on the right
+    lhs = linalg.matmul(ring, _column_mult_stack(ring, a, cayley.left_basis_matrices(3)), b)
+    rhs = _SIGN[:, None, :] * c[:, _INDEX].transpose(1, 0, 2)
+    if isinstance(ring, ComplexField):
+        return float(np.max(np.abs(lhs - rhs)))
+    return int(np.count_nonzero(np.any((lhs - rhs) % ring.p != 0, axis=1)))
 
 
 def triality_defect(ring, t1: np.ndarray, t2: np.ndarray):
@@ -135,24 +134,17 @@ def _first_column_system(ring, m: np.ndarray, side: str) -> np.ndarray:
     [s L_{T1(e_k)} - L_{T1(e_i)} L_{T1(e_j)}] w = 0.
     """
     right = side == "right"
-    tab = cayley.mult_table(3)
+    stack = cayley.right_basis_matrices(3) if right else cayley.left_basis_matrices(3)
+    byc = _column_mult_stack(ring, m, stack)
+    # prods[i, j]: R_{m(e_j)} R_{m(e_i)} on the right side, L_{m(e_i)} L_{m(e_j)} on the left
     if isinstance(ring, ComplexField):
-        stack = cayley.right_basis_matrices(3) if right else cayley.left_basis_matrices(3)
-        byc = np.einsum("ij,ikl->jkl", m.astype(np.complex128), stack.astype(np.complex128))
-        sgn = np.array([[tab[i][j][0] for j in range(8)] for i in range(8)])
-        idx = np.array([[tab[i][j][1] for j in range(8)] for i in range(8)])
-        targets = sgn[:, :, None, None] * byc[idx]
         prods = np.einsum("jab,ibc->ijac" if right else "iab,jbc->ijac", byc, byc)
-        return (targets - prods).reshape(512, 8)
-    mult = cayley.right_mult_matrix if right else cayley.left_mult_matrix
-    byc = [mult(_column_element(ring, m, j)) for j in range(8)]
-    blocks = []
-    for i in range(8):
-        for j in range(8):
-            s, k = tab[i][j]
-            a, b = (j, i) if right else (i, j)
-            blocks.append((s * byc[k] - linalg.matmul(ring, byc[a], byc[b])) % ring.p)
-    return np.concatenate(blocks, axis=0)
+    elif right:
+        prods = linalg.matmul(ring, byc[None], byc[:, None])
+    else:
+        prods = linalg.matmul(ring, byc[:, None], byc[None])
+    system = (_SIGN[:, :, None, None] * byc[_INDEX] - prods).reshape(512, 8)
+    return system if isinstance(ring, ComplexField) else system % ring.p
 
 
 def _first_column_companion(ring, m: np.ndarray, side: str) -> np.ndarray:

@@ -113,6 +113,18 @@ def test_left_right_matrices():
         assert np.array_equal(rx.T % P31, right_mult_matrix(x.conjugate()) % P31)
 
 
+@pytest.mark.parametrize("p", [313, 2**31 - 1, 2**61 - 1])
+def test_mult_matrices_are_residues(p):
+    # one representation per ring: residues in [0, p), int64 where it is safe
+    import numpy as np
+    ring = PrimeField(p)
+    x = random_element(ring, 3, derive_rng(0, "mats-res", p))
+    for m in (left_mult_matrix(x), right_mult_matrix(x)):
+        assert m.dtype == (np.int64 if ring.int64_safe else object)
+        assert all(0 <= v < p for v in m.ravel().tolist())
+        assert m[:, 0].tolist() == list(x.coords)      # L_x e_1 = R_x e_1 = x
+
+
 def test_phi_and_gram():
     rng = derive_rng(0, "phi")
     e1 = unit(F, 3)

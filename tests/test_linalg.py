@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from octjordan import linalg
-from octjordan.coeffs import ComplexField, PrimeField, derive_rng
+from octjordan.coeffs import (INT64_SAFE_MODULUS, ComplexField, PrimeField,
+                              derive_rng, is_prime)
 from octjordan.linalg import (IsotropicVectorError, SingularMatrixError,
                               cayley_orthogonal, det, eye, field_array, inv,
                               matmul, nullspace, random_skew, rank,
@@ -218,3 +219,59 @@ def test_det_solve_inv_match_reference(p):
         assert np.array_equal(matmul(ring, a, linalg.solve(ring, a, rhs)), rhs)
         assert np.array_equal(matmul(ring, a, inv(ring, a)), eye(ring, n))
         assert np.array_equal(matmul(ring, inv(ring, a), a), eye(ring, n))
+
+
+# --- matmul against Python ints: a small prime, the int64 limb split at
+# 2^31-1 and at the largest int64-safe prime, and object dtype at 2^61-1
+
+def largest_prime_at_most(n):
+    while not is_prime(n):
+        n -= 1
+    return n
+
+
+MATMUL_PRIMES = [313, P31, largest_prime_at_most(INT64_SAFE_MODULUS), 2**61 - 1]
+
+
+def reference_matmul(a, b, p):
+    """Product mod p of nested lists of Python ints; b a matrix or a vector."""
+    if not isinstance(b[0], list):
+        return [sum(x * y for x, y in zip(row, b)) % p for row in a]
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in cols] for row in a]
+
+
+def assert_exact_product(ring, a, b, ref):
+    out = matmul(ring, np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
+    assert out.dtype == (np.int64 if ring.int64_safe else object)
+    assert out.tolist() == ref
+    if not ring.int64_safe:
+        out = matmul(ring, np.array(a, dtype=object), np.array(b, dtype=object))
+        assert out.tolist() == ref
+
+
+@pytest.mark.parametrize("p", MATMUL_PRIMES)
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 24, 512])
+def test_matmul_matches_python_ints(p, k):
+    ring = PrimeField(p)
+    rng = derive_rng(0, "matmul", p, k)
+    top_a, top_b = [[p - 1] * k] * 3, [[p - 1] * 4] * k
+    neg_a = [[-rng.randrange(1, p) for _ in range(k)] for _ in range(3)]
+    neg_b = [[-rng.randrange(1, p) for _ in range(4)] for _ in range(k)]
+    # unreduced entries of either sign, as in +-x_i multiplication matrices
+    mixed_b = [[rng.randrange(1 - p, p) for _ in range(4)] for _ in range(k)]
+    vec = [rng.randrange(1 - p, p) for _ in range(k)]
+    for a, b in ((top_a, top_b), (neg_a, neg_b), (neg_a, top_b), (top_a, mixed_b),
+                 (neg_a, vec), (top_a, [p - 1] * k)):
+        assert_exact_product(ring, a, b, reference_matmul(a, b, p))
+
+
+@pytest.mark.parametrize("p", MATMUL_PRIMES)
+def test_matmul_stacked(p):
+    ring = PrimeField(p)
+    rng = derive_rng(0, "matmul-stack", p)
+    a, b = ([[[rng.randrange(1 - p, p) for _ in range(8)] for _ in range(8)]
+             for _ in range(64)] for _ in range(2))
+    a[0] = [[p - 1] * 8] * 8
+    b[0] = [[1 - p] * 8] * 8
+    assert_exact_product(ring, a, b, [reference_matmul(x, y, p) for x, y in zip(a, b)])

@@ -259,3 +259,96 @@ def test_triality_defect_counts():
     wrong = trip.t1.copy()
     wrong[0, 0] = (wrong[0, 0] + 1) % P31
     assert triality_defect(F, wrong, trip.t2) > 0
+
+
+# --- the batched triality kernels against the per-pair loops they replaced
+
+def reference_pair_defect(ring, a, b, c):
+    """A(e_i) B(e_j) = C(e_i e_j) checked with 64 octonion products."""
+    tab = cayley.mult_table(3)
+    cols = [[cayley.AlgebraElement(ring, 3, tuple(m[:, j].tolist())) for j in range(8)]
+            for m in (a, b, c)]
+    approx = isinstance(ring, ComplexField)
+    worst = 0.0 if approx else 0
+    for i in range(8):
+        for j in range(8):
+            lhs = cols[0][i] * cols[1][j]
+            s, k = tab[i][j]
+            rhs = cols[2][k] if s > 0 else -cols[2][k]
+            if approx:
+                worst = max(worst, max(abs(x - y) for x, y in zip(lhs.coords, rhs.coords)))
+            elif lhs.coords != rhs.coords:
+                worst += 1
+    return worst
+
+
+def reference_first_column_system(ring, m, side):
+    """The 512x8 system block by block, with 64 explicit 8x8 products."""
+    right = side == "right"
+    mult = cayley.right_mult_matrix if right else cayley.left_mult_matrix
+    byc = [mult(cayley.AlgebraElement(ring, 3, tuple(m[:, j].tolist()))) for j in range(8)]
+    tab = cayley.mult_table(3)
+    blocks = []
+    for i in range(8):
+        for j in range(8):
+            s, k = tab[i][j]
+            a, b = (j, i) if right else (i, j)
+            blocks.append((s * byc[k] - linalg.matmul(ring, byc[a], byc[b])) % ring.p)
+    return np.concatenate(blocks, axis=0)
+
+
+def left_pair(ring, rng):
+    """(T1, T2) with T2 the certified left companion of a random T1."""
+    for _ in range(32):
+        t1 = random_so7(ring, rng)
+        try:
+            return t1, lift_left_companion(ring, t1)
+        except LiftError:
+            continue
+    pytest.fail("no liftable T1 found")
+
+
+TRIALITY_PRIMES = [313, P31, 2**61 - 1]
+
+
+@pytest.mark.parametrize("p", TRIALITY_PRIMES)
+def test_pair_defect_matches_the_product_loop(p):
+    ring = PrimeField(p)
+    rng = derive_rng(0, "pair-defect", p)
+    trip = random_spin7(ring, rng)
+    t1l, t2l = left_pair(ring, rng)
+    assert symmetry._pair_defect(ring, trip.t1, trip.t2, trip.t1) == 0
+    assert symmetry._pair_defect(ring, t1l, t2l, t2l) == 0
+    for j in (0, 5):
+        bad_t2, bad_left = trip.t2.copy(), t2l.copy()
+        bad_t2[:, j] = (bad_t2[:, j] + rng.randrange(1, p)) % p
+        bad_left[:, j] = (bad_left[:, j] + rng.randrange(1, p)) % p
+        for args in ((trip.t1, bad_t2, trip.t1), (t1l, bad_left, bad_left)):
+            count = symmetry._pair_defect(ring, *args)
+            assert count == reference_pair_defect(ring, *args) > 0
+
+
+def test_pair_defect_matches_the_product_loop_complex():
+    rng = derive_rng(0, "pair-defect-c")
+    trip = random_spin7(C, rng)
+    t1l, t2l = left_pair(C, rng)
+    for bump in (0.0, 1e-3):
+        bad_t2, bad_left = trip.t2.copy(), t2l.copy()
+        bad_t2[:, 3] += bump
+        bad_left[:, 6] += bump
+        for args in ((trip.t1, bad_t2, trip.t1), (t1l, bad_left, bad_left)):
+            worst = symmetry._pair_defect(C, *args)
+            assert abs(worst - reference_pair_defect(C, *args)) <= 1e-12
+            assert (worst > 1e-6) == (bump > 0)
+
+
+@pytest.mark.parametrize("p", TRIALITY_PRIMES)
+def test_first_column_system_matches_the_block_loop(p):
+    ring = PrimeField(p)
+    rng = derive_rng(0, "first-column", p)
+    arbitrary = linalg.field_array(ring, [[ring.random(rng) for _ in range(8)]
+                                          for _ in range(8)])
+    for m in (random_so7(ring, rng), arbitrary):
+        for side in ("right", "left"):
+            assert np.array_equal(symmetry._first_column_system(ring, m, side),
+                                  reference_first_column_system(ring, m, side))
