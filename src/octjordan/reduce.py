@@ -11,14 +11,17 @@ strata is invoked:
     triality lift (move_c_to_plane);
   * when a pair condition must hold simultaneously (steer c while placing
     or fixing the image of a under the spinor-slot T1), the move is found
-    by Gauss-Newton over a Cayley chart of the skew matrices commuting
-    with the T2 constraint (stabilizer_solve); the triality lift runs
-    inside the residual, so converged solutions are genuine group
-    elements.
+    by Gauss-Newton on the group (stabilizer_solve).  Triality is a
+    Lie-algebra isomorphism, so each skew generator of the chart fixing
+    the T2 constraint has a closed-form partner for T1 (chart_pair); the
+    iterates are left-multiplied by exponentials of these pairs, which
+    keeps them genuine group elements without lifting inside the loop and
+    makes the Jacobian exact.
 
 Every denominator of the pipeline (r2, r3, lambda2, r7, the half-space
-pairings) is guarded by a relative threshold; a generic input never
-trips them, and a degenerate one aborts with the violated quantity named
+pairings) is guarded by a threshold relative to the norm of the current
+state, so the guards, like the action, commute with scaling the input by
+any nonzero complex number; a generic input never trips them, and a degenerate one aborts with the violated quantity named
 rather than limping on.  The emitted word is self-certifying: replaying
 it on the input must reproduce the identity up to the requested
 tolerance.
@@ -30,6 +33,7 @@ import cmath
 import math
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -62,6 +66,7 @@ class TransformWord:
 
     moves: list = field(default_factory=list)       # ("spin7", TrialityTriple) | ("congruence", H)
     steps: list = field(default_factory=list)       # parallel step labels
+    solver: list = field(default_factory=list)      # (step label, SolveRecord) per stabilizer_solve
     scale: complex = 1 + 0j
     intermediates: list = field(default_factory=list)  # flattened states after each move
     residual: float = 0.0
@@ -92,6 +97,9 @@ class TransformWord:
             "scale": c2(self.scale),
             "intermediates": [[c2(z) for z in s] for s in self.intermediates],
             "residual": self.residual,
+            "solver": [{"step": label, "iterations": rec.iterations,
+                        "restarts": rec.restarts, "residual": rec.residual}
+                       for label, rec in self.solver],
         }
 
 
@@ -141,69 +149,91 @@ def move_c_to_plane(t: HermitianTriple, target: int = 1):
     targetvec = np.zeros(8, dtype=complex)
     targetvec[target] = 1
     try:
-        t2 = linalg.reflection_pair(t.ring, imvec, targetvec)
+        # the reflection depends on the direction only; a unit vector keeps
+        # the isotropy test relative whatever the scale of the input
+        t2 = linalg.reflection_pair(t.ring, imvec / np.linalg.norm(imvec), targetvec)
+        trip = lift_right_companion(t.ring, t2)
     except linalg.IsotropicVectorError as exc:
         raise NonGenericInput("move_c_to_plane", f"imaginary part of c is unusable: {exc}")
-    trip = lift_right_companion(t.ring, t2)
+    except symmetry.LiftError as exc:
+        raise NonGenericInput("move_c_to_plane", f"reflection pair does not lift: {exc}")
     return trip, spin7_act(trip, t)
 
 
-# Gauss-Newton over a stabilizer chart, with the lift inside the residual.
+# Gauss-Newton on the group, in the Lie algebra of the stabilizer chart.
 
-def _skew_chart(fixed: int | None) -> list:
-    """Basis of skew 8x8 matrices vanishing on e1 (and on e_{fixed+1})."""
-    chart = []
-    for i in range(1, 8):
-        if i == fixed:
-            continue
-        for j in range(i + 1, 8):
-            if j == fixed:
-                continue
-            m = np.zeros((8, 8), dtype=complex)
-            m[i, j] = 1
-            m[j, i] = -1
-            chart.append(m)
-    return chart
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling and squaring.
+
+    a is scaled by 2^-s until its 1-norm is at most 1/4, where the
+    degree-12 Taylor polynomial (Horner form) is exact to double precision,
+    and the result is squared s times.  A non-finite input gives a NaN
+    matrix.
+    """
+    norm = float(np.max(np.sum(np.abs(a), axis=0)))
+    if not math.isfinite(norm):
+        return np.full(a.shape, np.nan, dtype=complex)
+    s = max(0, math.ceil(math.log2(norm / 0.25))) if norm > 0.25 else 0
+    x = a / 2.0 ** s
+    eye = np.eye(a.shape[0], dtype=a.dtype)
+    out = eye
+    for k in range(12, 0, -1):
+        out = eye + (x @ out) / k
+    for _ in range(s):
+        out = out @ out
+    return out
 
 
-class _Residual:
-    """Residual of the placement conditions as a function of the chart
-    parameters.  The lift is defined up to sign; aligning to the previous
-    accepted T1 keeps the residual continuous across nearby evaluations."""
+@lru_cache(maxsize=None)
+def chart_pair(fixed: int | None) -> tuple:
+    """Infinitesimal triality pairs (A1_k, A2_k) over the stabilizer chart.
 
-    def __init__(self, base: np.ndarray, chart: list, span_w, span_allowed):
-        self.base = base
-        self.chart = chart
-        self.span_w = np.array(span_w.coords, dtype=complex)
-        self.span_banned = [k for k in range(8) if k not in span_allowed]
-        self.t1_ref = None
+    A2_k runs over the skew generators E_ij (entry [i, j] = 1, [j, i] = -1)
+    with 1 <= i < j <= 7 and i, j != fixed, so exp(A2) fixes e_1 and
+    e_{fixed+1}.  Linearizing T1(x) T2(y) = T1(xy) at the identity gives
+    A1(x) y + x A2(y) = A1(xy), solved by A1 = A2 + L_u with
+    u = 1/2 sum theta_ij e_i e_j; for E_ij that is
+    A1 = E_ij + 1/2 sign_ij L_{e_k} where e_i e_j = sign_ij e_k.  Hence
+    (exp(sum d_k A1_k), exp(sum d_k A2_k)) is a triality pair for every
+    complex d.  Returns two read-only (n, 8, 8) stacks.
+    """
+    rows, cols = np.array([(i, j) for i in range(1, 8) for j in range(i + 1, 8)
+                           if fixed not in (i, j)]).T
+    k = np.arange(rows.size)
+    a2 = np.zeros((rows.size, 8, 8))
+    a2[k, rows, cols] = 1
+    a2[k, cols, rows] = -1
+    lu = cayley.left_basis_matrices(3)[symmetry._INDEX[rows, cols]]
+    a1 = a2 + 0.5 * symmetry._SIGN[rows, cols][:, None, None] * lu
+    a1.flags.writeable = False
+    a2.flags.writeable = False
+    return a1, a2
 
-    def __call__(self, theta: np.ndarray):
-        skew = np.zeros((8, 8), dtype=complex)
-        for v, m in zip(theta, self.chart):
-            skew += v * m
-        t2 = linalg.cayley_orthogonal(_RING, skew) @ self.base
-        t1 = symmetry.fast_right_companion(_RING, t2)
-        if self.t1_ref is not None and \
-                np.linalg.norm(-t1 - self.t1_ref) < np.linalg.norm(t1 - self.t1_ref):
-            t1 = -t1
-        img = t1 @ self.span_w
-        return img[self.span_banned], TrialityTriple(_RING, t1, t2)
+
+def _exp_pair(theta: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> tuple:
+    return expm(np.tensordot(theta, a1, 1)), expm(np.tensordot(theta, a2, 1))
 
 
 def _random_stabilizer_move(rng: random.Random, fixed: int) -> TrialityTriple:
     """Random Spin7 element whose T2 fixes e1 and the given basis direction."""
-    chart = _skew_chart(fixed)
+    a1, a2 = chart_pair(fixed)
     for _ in range(16):
-        skew = np.zeros((8, 8), dtype=complex)
-        for m in chart:
-            skew += complex(rng.gauss(0, 0.5), rng.gauss(0, 0.5)) * m
+        theta = np.array([complex(rng.gauss(0, 0.5), rng.gauss(0, 0.5))
+                          for _ in range(len(a2))])
         try:
-            t2 = linalg.cayley_orthogonal(_RING, skew)
-            return lift_right_companion(_RING, t2)
-        except (linalg.SingularMatrixError, symmetry.LiftError):
+            return TrialityTriple(_RING, *_exp_pair(theta, a1, a2)).certified()
+        except symmetry.LiftError:
             continue
     raise NonGenericInput("stabilizer rerandomization", "no usable stabilizer element")
+
+
+@dataclass(frozen=True)
+class SolveRecord:
+    """How a stabilizer_solve call converged."""
+
+    iterations: int     # Gauss-Newton steps, summed over every start
+    restarts: int       # starts abandoned before the accepted one
+    residual: float     # norm of the accepted residual
 
 
 def stabilizer_solve(t: HermitianTriple, rng: random.Random, step: str,
@@ -213,71 +243,70 @@ def stabilizer_solve(t: HermitianTriple, rng: random.Random, step: str,
     into the designated coordinate plane, optionally while the T2 slot
     maps one basis direction to another.
 
-    steer = (i, j) maps basis direction e_{i+1} to e_{j+1} under T2, held
-    exactly by restricting the chart to the 15-dimensional stabilizer of
-    the target (21 chart dimensions when unconstrained); the T1 placement
-    is solved by damped Gauss-Newton with random restarts and the
-    triality lift inside the residual.  Returns (move, moved triple).
+    steer = (i, j) maps basis direction e_{i+1} to e_{j+1} under T2: the
+    base pair is a reflection pair doing that, lifted once, and every move
+    after it is a left multiplication by the chart stabilizing e_1 and
+    e_{j+1} (15 dimensions; 21 and the identity base when unconstrained),
+    so the constraint holds exactly.  The placement (T1 w)[banned] = 0 is
+    solved by damped Gauss-Newton on the group with the left retraction
+    (T1, T2) <- (exp(sum d_k A1_k) T1, exp(sum d_k A2_k) T2) of chart_pair,
+    whose Jacobian column k is exactly (A1_k T1 w)[banned]; random restarts
+    begin at exp(theta A) applied to the base pair.  The accepted pair is
+    certified.  Returns (move, moved triple, SolveRecord).
     """
     if steer is not None:
         src = np.zeros(8, dtype=complex)
         src[steer[0]] = 1
         dst = np.zeros(8, dtype=complex)
         dst[steer[1]] = 1
-        base = linalg.reflection_pair(_RING, src, dst)
-        chart = _skew_chart(steer[1])
+        base2 = linalg.reflection_pair(_RING, src, dst)
+        base1 = symmetry.fast_right_companion(_RING, base2)
     else:
-        base = np.eye(8, dtype=complex)
-        chart = _skew_chart(None)
-    res = _Residual(base, chart, span_w, span_allowed)
-    npar = len(chart)
-    tol = GN_TOL * max(float(np.linalg.norm(res.span_w)), 1.0)
-    for restart in range(GN_RESTARTS):
-        res.t1_ref = None
-        if restart == 0:
-            theta = np.zeros(npar, dtype=complex)
-        else:
-            spread = 0.4 + 0.2 * (restart % 3)
-            theta = np.array([complex(rng.gauss(0, spread), rng.gauss(0, spread))
-                              for _ in range(npar)])
-        try:
-            r, trip = res(theta)
-        except (symmetry.LiftError, linalg.SingularMatrixError):
-            continue
-        res.t1_ref = trip.t1
-        for _ in range(GN_MAX_ITERS):
-            rn = np.linalg.norm(r)
-            if rn <= tol:
-                trip.certified()
-                return ("spin7", trip), spin7_act(trip, t)
-            h = 1e-7
-            jac = np.empty((len(r), npar), dtype=complex)
-            try:
-                for k in range(npar):
-                    bump = theta.copy()
-                    bump[k] += h
-                    rk, _ = res(bump)
-                    jac[:, k] = (rk - r) / h
-            except (symmetry.LiftError, linalg.SingularMatrixError):
-                break
-            step_vec = np.linalg.lstsq(jac, -r, rcond=None)[0]
-            improved = False
-            damp = 1.0
-            for _ in range(10):
-                try:
-                    r2, trip2 = res(theta + damp * step_vec)
-                except (symmetry.LiftError, linalg.SingularMatrixError):
+        base1 = base2 = np.eye(8, dtype=complex)
+    a1, a2 = chart_pair(None if steer is None else steer[1])
+    w = np.array(span_w.coords, dtype=complex)
+    banned = [k for k in range(8) if k not in span_allowed]
+    tol = GN_TOL * float(np.linalg.norm(w))
+    iterations = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for restart in range(GN_RESTARTS):
+            if restart == 0:
+                t1, t2 = base1, base2
+            else:
+                spread = 0.4 + 0.2 * (restart % 3)
+                theta = np.array([complex(rng.gauss(0, spread), rng.gauss(0, spread))
+                                  for _ in range(len(a2))])
+                e1, e2 = _exp_pair(theta, a1, a2)
+                t1, t2 = e1 @ base1, e2 @ base2
+            v = t1 @ w
+            r = v[banned]
+            rn = float(np.linalg.norm(r))
+            if not math.isfinite(rn):
+                continue
+            for _ in range(GN_MAX_ITERS):
+                if rn <= tol:
+                    try:
+                        trip = TrialityTriple(_RING, t1, t2).certified()
+                    except symmetry.LiftError:
+                        break
+                    record = SolveRecord(iterations, restart, rn)
+                    return ("spin7", trip), spin7_act(trip, t), record
+                iterations += 1
+                jac = (a1 @ v)[:, banned].T
+                step_vec = np.linalg.lstsq(jac, -r, rcond=None)[0]
+                damp = 1.0
+                for _ in range(10):
+                    d = damp * step_vec
+                    t1c = expm(np.tensordot(d, a1, 1)) @ t1
+                    vc = t1c @ w
+                    rc = float(np.linalg.norm(vc[banned]))
+                    if rc < rn:      # False for a non-finite candidate
+                        t1, t2 = t1c, expm(np.tensordot(d, a2, 1)) @ t2
+                        v, r, rn = vc, vc[banned], rc
+                        break
                     damp /= 2
-                    continue
-                if np.linalg.norm(r2) < rn:
-                    theta = theta + damp * step_vec
-                    r, trip = r2, trip2
-                    res.t1_ref = trip.t1
-                    improved = True
+                else:
                     break
-                damp /= 2
-            if not improved:
-                break
     raise NonGenericInput(step, "Gauss-Newton stagnated on the pair condition")
 
 
@@ -381,14 +410,14 @@ def reduce_to_identity(t: HermitianTriple, tol: float = 1e-6,
     sc = _norm(state)
     for slot in ("a", "b", "c"):
         imax = max(abs(z) for z in getattr(state, slot).coords[1:])
-        if imax > 1e-6 * max(sc, 1.0):
+        if imax > 1e-6 * sc:
             raise NonGenericInput("final congruence", f"imaginary residue in {slot}")
     smat = np.array([[state.lambdas[0], _coord(state, "c", 0), _coord(state, "b", 0)],
                      [_coord(state, "c", 0), state.lambdas[1], _coord(state, "a", 0)],
                      [_coord(state, "b", 0), _coord(state, "a", 0), state.lambdas[2]]],
                     dtype=complex)
     dets = np.linalg.det(smat)
-    _guard("final congruence", "det of the symmetric state", dets, max(sc, 1.0) ** 3)
+    _guard("final congruence", "det of the symmetric state", dets, sc ** 3)
     mu = (1 / dets) ** (1 / 3)
     word.scale = mu
     state = state.scale(mu)
@@ -408,6 +437,13 @@ def reduce_to_identity(t: HermitianTriple, tol: float = 1e-6,
 def _apply_and_record(word: TransformWord, label: str, move, state) -> HermitianTriple:
     word.record(label, move, state)
     return state
+
+
+def _solve_and_record(word: TransformWord, label: str, state: HermitianTriple,
+                      rng: random.Random, **placement) -> HermitianTriple:
+    move, state, record = stabilizer_solve(state, rng, label, **placement)
+    word.solver.append((label, record))
+    return _apply_and_record(word, label, move, state)
 
 
 def _offdiagonal_pipeline(state: HermitianTriple, word: TransformWord,
@@ -446,9 +482,8 @@ def _offdiagonal_pipeline(state: HermitianTriple, word: TransformWord,
     sc = _norm(state)
 
     # step 3: steer c to span(1, n) while T1 puts a into span(i, n)
-    move, state = stabilizer_solve(state, rng, "pair-steer c to n, a to (i,n)",
-                                   steer=(1, 6), span_w=state.a, span_allowed=(1, 6))
-    state = _apply_and_record(word, "pair-steer c to n, a to (i,n)", move, state)
+    state = _solve_and_record(word, "pair-steer c to n, a to (i,n)", state, rng,
+                              steer=(1, 6), span_w=state.a, span_allowed=(1, 6))
     sc = _norm(state)
     r2 = _guard("pair-steer", "r2 = n-part of c", _coord(state, "c", 6), sc)
     r3 = _coord(state, "a", 1)
@@ -462,9 +497,8 @@ def _offdiagonal_pipeline(state: HermitianTriple, word: TransformWord,
     r3 = _guard("kill n-part of a", "r3 = i-part of a", _coord(state, "a", 1), sc)
 
     # step 5: steer c back to span(1, i) keeping a in span(1, i)
-    move, state = stabilizer_solve(state, rng, "steer c back keeping a in (1,i)",
-                                   span_w=state.a, span_allowed=(0, 1), steer=(6, 1))
-    state = _apply_and_record(word, "steer c back keeping a in (1,i)", move, state)
+    state = _solve_and_record(word, "steer c back keeping a in (1,i)", state, rng,
+                              span_w=state.a, span_allowed=(0, 1), steer=(6, 1))
     sc = _norm(state)
     r2 = _coord(state, "c", 1)
     r3 = _guard("steer c back", "r3 = i-part of a", _coord(state, "a", 1), sc)
@@ -478,9 +512,8 @@ def _offdiagonal_pipeline(state: HermitianTriple, word: TransformWord,
         raise NonGenericInput("make c real", "imaginary residue of c")
 
     # step 7: T1 sends a to a complex scalar (c real is T2-invariant)
-    move, state = stabilizer_solve(state, rng, "scalarize a",
-                                   span_w=state.a, span_allowed=(0,))
-    state = _apply_and_record(word, "scalarize a", move, state)
+    state = _solve_and_record(word, "scalarize a", state, rng,
+                              span_w=state.a, span_allowed=(0,))
     sc = _norm(state)
     r6 = _coord(state, "c", 0)
     r7 = _guard("scalarize a", "r7 = Re(a)", _coord(state, "a", 0), sc)
@@ -509,7 +542,6 @@ def _offdiagonal_pipeline(state: HermitianTriple, word: TransformWord,
     # step 11: T1 scalarizes the last octonion
     sc = _norm(state)
     if max(abs(z) for z in state.a.coords[1:]) > GENERIC_TOL * sc:
-        move, state = stabilizer_solve(state, rng, "scalarize the last octonion",
-                                       span_w=state.a, span_allowed=(0,))
-        state = _apply_and_record(word, "scalarize the last octonion", move, state)
+        state = _solve_and_record(word, "scalarize the last octonion", state, rng,
+                                  span_w=state.a, span_allowed=(0,))
     return state

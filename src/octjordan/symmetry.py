@@ -79,8 +79,9 @@ def triality_defect(ring, t1: np.ndarray, t2: np.ndarray):
 
 
 def _certify(defect, what: str) -> None:
-    # a failing-pair count over F_p exceeds the tolerance as soon as it is 1
-    if defect > LIFT_TOL:
+    # a failing-pair count over F_p exceeds the tolerance as soon as it is 1;
+    # a NaN defect (non-finite entries) is no certificate either
+    if not defect <= LIFT_TOL:
         raise LiftError(f"{what}: defect {defect} after normalization")
 
 
@@ -178,8 +179,9 @@ def _first_column_companion(ring, m: np.ndarray, side: str) -> np.ndarray:
 def fast_right_companion(ring, t2: np.ndarray) -> np.ndarray:
     """T1 of the triality pair over T2, without a certificate.
 
-    The same first-column lift as lift_right_companion, for optimization
-    inner loops whose caller certifies only the accepted pair.
+    The same first-column lift as lift_right_companion, for callers that
+    certify only a pair built from it later (the steer base of
+    reduce.stabilizer_solve).
     """
     return _first_column_companion(ring, t2, "right")
 

@@ -1,17 +1,22 @@
+import cmath
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from octjordan import cayley
+from octjordan import cayley, reduce, symmetry
 from octjordan.cayley import AlgebraElement
 from octjordan.coeffs import ComplexField
 from octjordan.jordan import (HermitianTriple, diagonal_triple,
                               identity_triple, unflatten)
-from octjordan.reduce import (NonGenericInput, distance_to_identity,
-                              move_c_to_plane, random_generic_triple,
+from octjordan.reduce import (NonGenericInput, chart_pair, distance_to_identity,
+                              expm, move_c_to_plane, random_generic_triple,
                               reduce_to_identity, replay, stabilizer_solve,
                               symmetric_congruence_to_identity)
+from octjordan.symmetry import LiftError, TrialityTriple, triality_defect
 
 C = ComplexField()
 
@@ -97,18 +102,19 @@ def test_stabilizer_solve_already_satisfied():
     t = random_generic_triple(rng)
     in_span = AlgebraElement(C, 3, (0.4 - 0.1j, 0.9 + 0.3j, 0j, 0j, 0j, 0j, 0j, 0j))
     t = HermitianTriple(C, 3, t.lambdas, in_span, t.b, t.c)
-    move, moved = stabilizer_solve(t, rng, "already satisfied",
-                                   span_w=t.a, span_allowed=(0, 1))
+    move, moved, record = stabilizer_solve(t, rng, "already satisfied",
+                                           span_w=t.a, span_allowed=(0, 1))
     # zero chart parameters are accepted at iteration 0: the move is trivial
     assert np.linalg.norm(np.abs(move[1].t1) - np.eye(8)) < 1e-9
+    assert (record.iterations, record.restarts) == (0, 0)
     assert max(abs(z) for z in moved.a.coords[2:]) <= 1e-9
 
 
 def test_stabilizer_solve_pair_condition():
     rng = random.Random(8)
     t = random_generic_triple(rng)
-    move, moved = stabilizer_solve(t, rng, "steer to plane",
-                                   span_w=t.a, span_allowed=(1, 6), steer=(1, 6))
+    move, moved, record = stabilizer_solve(t, rng, "steer to plane",
+                                           span_w=t.a, span_allowed=(1, 6), steer=(1, 6))
     trip = move[1]
     assert trip.defect() <= 1e-10
     # T2 sends e2 to e7 exactly
@@ -210,3 +216,168 @@ def test_transform_word_json_shape():
         else:
             assert len(m["t1"]) == 8 and len(m["t2"]) == 8
     assert isinstance(d["residual"], float) and len(d["scale"]) == 2
+
+
+def _octonion(v):
+    return AlgebraElement(C, 3, tuple(complex(z) for z in v))
+
+
+@pytest.mark.parametrize("fixed", [None, 1, 6])
+def test_chart_pairs_are_infinitesimal_triality_pairs(fixed):
+    # A1(e_i) e_j + e_i A2(e_j) = A1(e_i e_j), by octonion products
+    a1, a2 = chart_pair(fixed)
+    assert a1.shape == a2.shape == (21 if fixed is None else 15, 8, 8)
+    eye = np.eye(8)
+    for g1, g2 in zip(a1, a2):
+        assert np.array_equal(g2, -g2.T)
+        assert not g2[0].any() and not g2[:, 0].any()
+        if fixed is not None:
+            assert not g2[fixed].any() and not g2[:, fixed].any()
+        for i in range(8):
+            for j in range(8):
+                ei, ej = _octonion(eye[i]), _octonion(eye[j])
+                lhs = _octonion(g1 @ eye[i]) * ej + ei * _octonion(g2 @ eye[j])
+                rhs = g1 @ np.array((ei * ej).coords)
+                assert np.max(np.abs(np.array(lhs.coords) - rhs)) <= 1e-14
+
+
+def _complex_skew(rng, norm):
+    g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    a = g - g.T
+    return a * (norm / np.linalg.norm(a, 2))
+
+
+@pytest.mark.parametrize("norm", [0.01, 0.3, 1.0, 4.0, 10.0])
+def test_expm_group_identities_on_complex_skew(norm):
+    rng = np.random.default_rng(int(norm * 100))
+    eye = np.eye(8)
+    for _ in range(10):
+        a = _complex_skew(rng, norm)
+        e = expm(a)
+        tol = 1e-12 * max(1.0, np.linalg.norm(e, 2)) ** 2
+        assert np.max(np.abs(e @ expm(-a) - eye)) <= tol
+        assert np.max(np.abs(expm(2 * a) - e @ e)) <= 4 * tol
+        assert np.max(np.abs(e.T @ e - eye)) <= tol
+
+
+def test_expm_closed_forms():
+    assert np.array_equal(expm(np.zeros((8, 8), dtype=complex)), np.eye(8))
+    for t in (0.1, 1.0, 2.5, 7.0):
+        rot = expm(np.array([[0, -t], [t, 0]], dtype=complex))
+        want = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+        assert np.max(np.abs(rot - want)) <= 1e-14
+        diag = expm(np.diag([1j * t, -t]))
+        assert np.max(np.abs(diag - np.diag([cmath.exp(1j * t), math.exp(-t)]))) <= 1e-14
+    bad = np.zeros((8, 8), dtype=complex)
+    bad[1, 2] = np.inf
+    assert np.isnan(expm(bad)).all()
+
+
+@pytest.mark.parametrize("fixed", [None, 6])
+def test_exponentiated_chart_pairs_are_triality_pairs(fixed):
+    a1, a2 = chart_pair(fixed)
+    rng = random.Random(21)
+    for _ in range(20):
+        theta = np.array([complex(rng.gauss(0, 0.5), rng.gauss(0, 0.5))
+                          for _ in range(len(a2))])
+        t1 = expm(np.tensordot(theta, a1, 1))
+        t2 = expm(np.tensordot(theta, a2, 1))
+        assert triality_defect(C, t1, t2) <= 1e-12
+        assert np.max(np.abs(t2[:, 0] - np.eye(8)[0])) <= 1e-12
+        if fixed is not None:
+            assert np.max(np.abs(t2[:, fixed] - np.eye(8)[fixed])) <= 1e-12
+
+
+@pytest.mark.parametrize("steer, allowed, most", [((1, 6), (1, 6), 1), (None, (0,), 0)])
+def test_stabilizer_solve_lifts_at_most_once(monkeypatch, steer, allowed, most):
+    calls = []
+    lift = symmetry.fast_right_companion
+
+    def counted(ring, t2):
+        calls.append(1)
+        return lift(ring, t2)
+
+    monkeypatch.setattr(symmetry, "fast_right_companion", counted)
+    t = random_generic_triple(random.Random(15))
+    move, moved, record = stabilizer_solve(t, random.Random(0), "counted",
+                                           span_w=t.a, span_allowed=allowed, steer=steer)
+    assert len(calls) <= most
+    assert record.iterations >= 1 and record.residual <= 1e-10 * np.linalg.norm(t.a.coords)
+
+
+def test_stabilizer_solve_restarts_after_a_failed_certificate(monkeypatch):
+    # a LiftError from the certificate of the accepted pair fails that start only
+    failures = []
+    certified = TrialityTriple.certified
+
+    def flaky(self):
+        if not failures:
+            failures.append(1)
+            raise LiftError("forced")
+        return certified(self)
+
+    monkeypatch.setattr(TrialityTriple, "certified", flaky)
+    t = random_generic_triple(random.Random(16))
+    move, moved, record = stabilizer_solve(t, random.Random(0), "flaky",
+                                           span_w=t.a, span_allowed=(0,))
+    assert failures and record.restarts == 1
+    assert move[1].defect() <= 1e-10
+
+
+def test_move_c_to_plane_maps_lift_failures_to_non_generic(monkeypatch):
+    def fail(ring, t2):
+        raise LiftError("forced")
+
+    monkeypatch.setattr(reduce, "lift_right_companion", fail)
+    t = random_generic_triple(random.Random(17))
+    with pytest.raises(NonGenericInput) as info:
+        move_c_to_plane(t, target=1)
+    assert info.value.step == "move_c_to_plane"
+
+
+def test_ill_conditioned_reflection_pair_does_not_escape_as_lift_error():
+    # draw 172 of this stream has a reflection pair whose lift certificate
+    # reads about 1e-9, above LIFT_TOL; it must abort as non-generic
+    rng = random.Random(77)
+    for d in range(173):
+        s = 10 ** rng.uniform(-1, 6) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        pt = random_generic_triple(rng).scale(s)
+    with pytest.raises(NonGenericInput) as info:
+        reduce_to_identity(pt, tol=1e-6, seed=172)
+    assert info.value.step == "move_c_to_plane"
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(k=st.integers(0, 9), log10_s=st.floats(-6, 6), phase=st.floats(0, 2 * math.pi))
+def test_reduction_is_homogeneous_in_the_input_scale(k, log10_s, phase):
+    t = random_generic_triple(random.Random(k)).scale(10 ** log10_s * cmath.exp(1j * phase))
+    word = reduce_to_identity(t, tol=1e-6, seed=0)
+    assert distance_to_identity(replay(word, t)) <= 1e-6
+    for kind, payload in word.moves:
+        if kind == "spin7":
+            assert payload.defect() <= 1e-10
+
+
+@pytest.mark.parametrize("s", [1e-6, 1.0, 1e6])
+def test_final_congruence_imaginary_residue_guard_is_scale_free(monkeypatch, s):
+    # a state left by the pipeline with an imaginary residue of relative size 1e-3
+    monkeypatch.setattr(reduce, "_offdiagonal_pipeline", lambda state, word, rng: state)
+    a = AlgebraElement(C, 3, (0.5 + 0j, 1e-3j) + (0j,) * 6)
+    t = HermitianTriple(C, 3, (1 + 0j, 2 + 0j, 3 + 0j), a,
+                        cayley.zero(C, 3), cayley.zero(C, 3)).scale(s)
+    with pytest.raises(NonGenericInput) as info:
+        reduce_to_identity(t)
+    assert info.value.step == "final congruence"
+
+
+def test_transform_word_solver_record():
+    t = random_generic_triple(random.Random(13))
+    word = reduce_to_identity(t, seed=0)
+    solver = word.to_json_dict()["solver"]
+    solved = [s for s in word.steps if s in {r["step"] for r in solver}]
+    assert [r["step"] for r in solver] == solved and len(solver) >= 3
+    for r in solver:
+        assert set(r) == {"step", "iterations", "restarts", "residual"}
+        assert isinstance(r["iterations"], int) and r["iterations"] >= 0
+        assert isinstance(r["restarts"], int) and 0 <= r["restarts"] < reduce.GN_RESTARTS
+        assert isinstance(r["residual"], float) and 0 <= r["residual"] <= 1e-8

@@ -252,6 +252,15 @@ def test_lift_left_rejects_non_so7():
         lift_left_companion(F, bad)
 
 
+def test_certificate_rejects_non_finite_pairs():
+    trip = TrialityTriple.identity(C)
+    for bad in (np.nan, np.inf):
+        t2 = trip.t2.astype(complex)
+        t2[3, 4] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(LiftError):
+            TrialityTriple(C, trip.t1, t2).certified()
+
+
 def test_triality_defect_counts():
     rng = derive_rng(0, "defcnt")
     trip = random_spin7(F, rng)
