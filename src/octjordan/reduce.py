@@ -21,8 +21,9 @@ strata is invoked:
 Every denominator of the pipeline (r2, r3, lambda2, r7, the half-space
 pairings) is guarded by a threshold relative to the norm of the current
 state, so the guards, like the action, commute with scaling the input by
-any nonzero complex number; a generic input never trips them, and a degenerate one aborts with the violated quantity named
-rather than limping on.  The emitted word is self-certifying: replaying
+any nonzero complex number; a generic input never trips them, and a
+degenerate one aborts with the violated quantity named rather than
+limping on.  The emitted word is self-certifying: replaying
 it on the input must reproduce the identity up to the requested
 tolerance.
 """
