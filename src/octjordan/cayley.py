@@ -155,7 +155,7 @@ class AlgebraElement:
         n = len(self.coords)
         out = [r.zero] * n
         for i, xi in enumerate(self.coords):
-            if r.is_zero(xi) and r.kind == "exact":
+            if r.kind == "exact" and r.is_zero(xi):
                 continue
             for j, yj in enumerate(other.coords):
                 s, k = tab[i][j]

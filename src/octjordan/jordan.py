@@ -13,6 +13,11 @@ degree-6 invariants (Cartan determinant, comatrix, the octonionic
 degeneracy sextic, the twisted cubic and twisted sextic) and the two
 24x24 block matrices whose determinants those invariants govern:
 det(M) = sextic^4 and det(N) = cubic^4 * twisted_sextic^2.
+
+Over C every scalar of a triple may also be a complex128 array of shape
+(S,), one lane per point (`stack_lanes`, `lane`).  The invariants then
+return an (S,) array, the comatrix a stacked triple, and `build_M` /
+`build_N` an (S, 24, 24) stack, all from the same formulas as one point.
 """
 
 from __future__ import annotations
@@ -80,6 +85,18 @@ def unflatten(ring, level: int, coords) -> HermitianTriple:
     b = AlgebraElement(ring, level, tuple(coords[n:2 * n]))
     a = AlgebraElement(ring, level, tuple(coords[2 * n:3 * n]))
     return HermitianTriple(ring, level, tuple(coords[3 * n:]), a, b, c)
+
+
+def stack_lanes(ring, triples) -> HermitianTriple:
+    """Level-3 complex triples as one triple whose scalars are complex128
+    arrays of shape (S,), lane i holding triples[i]."""
+    flat = np.array([t.flatten() for t in triples], dtype=np.complex128)
+    return unflatten(ring, 3, list(flat.reshape(len(triples), 27).T))
+
+
+def lane(t: HermitianTriple, i: int) -> HermitianTriple:
+    """Lane i of a lane-stacked complex triple, with Python complex scalars."""
+    return unflatten(t.ring, t.level, [complex(z[i]) for z in t.flatten()])
 
 
 def det_cartan(t: HermitianTriple):
@@ -177,11 +194,13 @@ def _assemble(t: HermitianTriple, cblock: np.ndarray) -> np.ndarray:
         idn = np.eye(n, dtype=np.int64)
         if la.dtype == object:
             idn = idn.astype(object)
-    l1, l2, l3 = t.lambdas
+    # lane-stacked scalars of shape (S,) give (S, n, n) blocks throughout
+    l1, l2, l3 = (np.asarray(l)[..., None, None] * idn for l in t.lambdas)
+    tr = lambda x: np.swapaxes(x, -1, -2)
     out = np.block([
-        [l1 * idn, cblock, lb.T],
-        [cblock.T, l2 * idn, la],
-        [lb, la.T, l3 * idn],
+        [l1, cblock, tr(lb)],
+        [tr(cblock), l2, la],
+        [lb, tr(la), l3],
     ])
     if not isinstance(r, ComplexField):
         out = out % r.p

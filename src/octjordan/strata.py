@@ -9,6 +9,15 @@ is cheap and unbiased over the chart l1 l2 != |c|^2.  Coranks of the two
 relative tolerance, reproducing the generic-rank claims: corank 4 for M
 on its sextic, corank 4 for N on the twisted cubic and corank 2 for N on
 the twisted sextic (rank 22, the prehomogeneity witness).
+
+There is one sampler, `sample_lanes`, and it works on a lane-stacked
+triple: one numpy lane per sample, each lane drawing from its own
+generator exactly as a lone sample would.  The invariants, the l3 solve
+and the residual check run once per try over all open lanes, and a lane
+that fails is redrawn from its own generator on the next try.  `sample_on`
+is the one-lane case.  A census chunk samples its index range as one
+stack and builds and decomposes the matrices of all its points at once;
+lanes do not interact, so any chunking of a census gives the same bytes.
 """
 
 from __future__ import annotations
@@ -20,8 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import ComplexField, derive_rng
-from .jordan import (HermitianTriple, build_M, build_N, random_triple, s_odm,
-                     triple_to_json, twisted_cubic, twisted_sextic)
+from .jordan import (HermitianTriple, build_M, build_N, lane, random_triple,
+                     s_odm, stack_lanes, triple_to_json, twisted_cubic,
+                     twisted_sextic, unflatten)
 
 
 class Hypersurface(enum.Enum):
@@ -58,38 +68,55 @@ def surface_value(surface: Hypersurface, t: HermitianTriple):
 def sample_on(surface: Hypersurface, rng, ring: ComplexField | None = None,
               max_tries: int = 200) -> HermitianTriple:
     """Random point with |h(A)| <= 1e-9 * ||A||^deg on the chosen surface."""
+    return lane(sample_lanes(surface, [rng], ring, max_tries), 0)
+
+
+def sample_lanes(surface: Hypersurface, rngs, ring: ComplexField | None = None,
+                 max_tries: int = 200) -> HermitianTriple:
+    """One surface point per generator, as the lanes of a stacked triple.
+
+    Each try draws a base from every open lane's own generator and then
+    evaluates the invariant for all of them at once.  Lane i consumes
+    rngs[i] as a lone sample would: the 27 base coordinates per try, then
+    the root-sign draw once the leading coefficient has passed.  A lane
+    whose leading coefficient or residual fails is redrawn on the next try.
+    """
     ring = ring or ComplexField()
     invariant, degree, l3_degree = _INVARIANTS[surface]
+    flat = np.empty((27, len(rngs)), dtype=np.complex128)
+    pending = np.arange(len(rngs))
     for _ in range(max_tries):
-        base = random_triple(ring, 3, rng)
+        if not pending.size:
+            break
+        base = stack_lanes(ring, [random_triple(ring, 3, rngs[i]) for i in pending])
 
         def at(l3val):
-            probe = HermitianTriple(ring, 3, (base.lambdas[0], base.lambdas[1], l3val),
-                                    base.a, base.b, base.c)
-            return invariant(probe)
+            return invariant(HermitianTriple(ring, 3, (*base.lambdas[:2], l3val),
+                                             base.a, base.b, base.c))
 
         q0, q1 = at(0j), at(1 + 0j)
         if l3_degree == 1:
-            lead, a0 = q1 - q0, q0
-            if abs(lead) < LEADING_TOL:
-                continue
-            l3 = -a0 / lead
+            lead = q1 - q0
+            ok = abs(lead) >= LEADING_TOL
+            l3 = -q0 / np.where(ok, lead, 1)
         else:
-            q2 = at(2 + 0j)
-            lead = (q2 - 2 * q1 + q0) / 2
-            if abs(lead) < LEADING_TOL:
-                continue
+            lead = (at(2 + 0j) - 2 * q1 + q0) / 2
+            ok = abs(lead) >= LEADING_TOL
             a1 = q1 - q0 - lead
-            disc = np.sqrt(complex(a1 * a1 - 4 * lead * q0))
-            l3 = (-a1 + disc) / (2 * lead) if rng.random() < 0.5 else \
-                 (-a1 - disc) / (2 * lead)
-        point = HermitianTriple(ring, 3, (base.lambdas[0], base.lambdas[1], l3),
-                                base.a, base.b, base.c)
-        scale = math.sqrt(sum(abs(z) ** 2 for z in point.flatten()))
-        if abs(invariant(point)) <= RESIDUAL_TOL * max(1.0, scale) ** degree:
-            return point
-    raise SamplingError(f"no well-conditioned sample on {surface.value} "
-                        f"after {max_tries} tries")
+            disc = np.sqrt(a1 * a1 - 4 * lead * q0)
+            plus = np.array([good and rngs[i].random() < 0.5
+                             for i, good in zip(pending, ok)], dtype=bool)
+            l3 = np.where(plus, -a1 + disc, -a1 - disc) / (2 * np.where(ok, lead, 1))
+        point = HermitianTriple(ring, 3, (*base.lambdas[:2], l3), base.a, base.b, base.c)
+        coords = np.array(point.flatten())
+        scale = np.sqrt(sum(abs(z) ** 2 for z in coords))
+        ok &= abs(invariant(point)) <= RESIDUAL_TOL * np.maximum(1.0, scale) ** degree
+        flat[:, pending[ok]] = coords[:, ok]
+        pending = pending[~ok]
+    if pending.size:
+        raise SamplingError(f"no well-conditioned sample on {surface.value} "
+                            f"after {max_tries} tries")
+    return unflatten(ring, 3, list(flat))
 
 
 @dataclass
@@ -127,34 +154,34 @@ class CorankCensus:
         }
 
 
-def _corank_and_gap(matrix: np.ndarray, tol: float):
-    s = np.linalg.svd(matrix, compute_uv=False)
+def _corank_and_gap(s: np.ndarray, tol: float):
+    """Corank and rank gap from the singular values of one matrix."""
     if s[0] == 0.0:
-        return matrix.shape[0], math.inf
+        return len(s), math.inf
     r = int(np.sum(s > tol * s[0]))
     gap = math.inf if r in (0, len(s)) else float(s[r - 1] / s[r])
-    return matrix.shape[0] - r, gap
+    return len(s) - r, gap
 
 
 def _census_chunk(surface_value: str, matrix: str, tol: float, seed: int,
                   lo: int, hi: int):
-    """One index range of the census; merging chunk results is commutative."""
+    """One index range of the census, sampled and decomposed as one stack;
+    merging chunk results is commutative."""
     surface = Hypersurface(surface_value)
-    ring = ComplexField()
     build = build_M if matrix == "M" else build_N
     expected = EXPECTED_CORANK.get((surface, matrix))
+    rngs = [derive_rng(seed, "strata", surface_value, matrix, i) for i in range(lo, hi)]
+    points = sample_lanes(surface, rngs)
     hist: dict = {}
     gaps_ok = 0
     witness = None  # (index, corank, triple json)
-    for i in range(lo, hi):
-        rng = derive_rng(seed, "strata", surface_value, matrix, i)
-        point = sample_on(surface, rng, ring)
-        corank, gap = _corank_and_gap(build(point), tol)
+    for j, s in enumerate(np.linalg.svd(build(points), compute_uv=False)):
+        corank, gap = _corank_and_gap(s, tol)
         hist[corank] = hist.get(corank, 0) + 1
         if gap >= 1e4:
             gaps_ok += 1
         if witness is None and (corank == expected or expected is None):
-            witness = (i, corank, triple_to_json(point))
+            witness = (lo + j, corank, triple_to_json(lane(points, j)))
     return hist, gaps_ok, witness
 
 
@@ -177,6 +204,12 @@ def corank_census(surface: Hypersurface, matrix: str, samples: int,
                                   for lo, hi in bounds])
     else:
         parts = [_census_chunk(surface.value, matrix, tol, seed, 0, samples)]
+    return _merge_chunks(surface, matrix, samples, tol, seed, parts)
+
+
+def _merge_chunks(surface: Hypersurface, matrix: str, samples: int, tol: float,
+                  seed: int, parts) -> CorankCensus:
+    """The census of _census_chunk results that cover 0..samples, in any order."""
     hist: dict = {}
     gaps_ok = 0
     witness = None

@@ -186,6 +186,29 @@ def test_complex_ring_products():
         assert abs(defect) < 1e-12 * max(1.0, abs(x.norm_sq()) * abs(y.norm_sq()))
 
 
+def test_product_skips_zero_coordinates_only_over_exact_rings(monkeypatch):
+    # over C the zero test would only be discarded, and it rejects array scalars
+    counts = {}
+    for cls in (ComplexField, PrimeField):
+        for name in ("is_zero", "mul"):
+            orig = getattr(cls, name)
+
+            def counted(self, *args, _key=(cls.__name__, name), _orig=orig):
+                counts[_key] = counts.get(_key, 0) + 1
+                return _orig(self, *args)
+            monkeypatch.setattr(cls, name, counted)
+    rng = random.Random(5)
+    r = ComplexField()
+    random_element(r, 3, rng) * random_element(r, 3, rng)
+    assert counts == {("ComplexField", "mul"): 64}
+    counts.clear()
+    x = random_element(F, 3, rng)
+    x = AlgebraElement(F, 3, tuple(0 if i in (1, 4, 6) else v
+                                   for i, v in enumerate(x.coords)))
+    x * random_element(F, 3, rng)
+    assert counts == {("PrimeField", "is_zero"): 8, ("PrimeField", "mul"): 5 * 8}
+
+
 def test_bilinear_polarizes_norm():
     rng = derive_rng(0, "bil")
     for _ in range(10):

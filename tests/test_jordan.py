@@ -6,8 +6,8 @@ from octjordan.cayley import AlgebraElement, basis, zero
 from octjordan.coeffs import ComplexField, PrimeField, derive_rng
 from octjordan.jordan import (HermitianTriple, build_M, build_N, com,
                               det_cartan, diagonal_triple, full_matmul,
-                              identity_triple, random_triple, s_odm,
-                              to_full_matrix, triple_from_json,
+                              identity_triple, lane, random_triple, s_odm,
+                              stack_lanes, to_full_matrix, triple_from_json,
                               triple_to_json, twisted_cubic, twisted_sextic,
                               unflatten)
 
@@ -156,6 +156,37 @@ def test_homogeneity():
     assert s_odm(st) == F.mul(pow(s, 6, P31), s_odm(t))
     assert twisted_cubic(st) == F.mul(pow(s, 3, P31), twisted_cubic(t))
     assert twisted_sextic(st) == F.mul(pow(s, 6, P31), twisted_sextic(t))
+
+
+def _complex_points(label, count=17):
+    rng = derive_rng(0, label)
+    return [random_triple(ComplexField(), 3, rng) for _ in range(count)]
+
+
+@pytest.mark.parametrize("invariant", [det_cartan, com, s_odm, twisted_cubic,
+                                       twisted_sextic])
+def test_invariants_on_a_lane_stack_match_scalar_evaluation(invariant):
+    # numpy and Python round complex products differently, so not bit-equal
+    points = _complex_points("lanes")
+    stacked = invariant(stack_lanes(ComplexField(), points))
+    for i, t in enumerate(points):
+        want = invariant(t)
+        if invariant is com:
+            got, want = np.array(lane(stacked, i).flatten()), np.array(want.flatten())
+        else:
+            got = stacked[i]
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("build", [build_M, build_N])
+def test_lane_stacked_build_equals_per_point_builds(build):
+    C = ComplexField()
+    points = _complex_points("lanebuild")
+    stacked = stack_lanes(C, points)
+    assert [lane(stacked, i) for i in range(len(points))] == points
+    got = build(stacked)
+    assert got.shape == (17, 24, 24) and got.dtype == np.complex128
+    assert np.array_equal(got, np.stack([build(t) for t in points]))
 
 
 def test_twisted_kernel_vectors_complex():

@@ -1,17 +1,76 @@
+import cmath
+import json
 import math
 
+import numpy as np
 import pytest
 
-from octjordan import linalg
+from octjordan import linalg, strata
 from octjordan.coeffs import ComplexField, derive_rng
 from octjordan.jordan import (HermitianTriple, build_M, build_N,
-                              diagonal_triple, triple_from_json, twisted_cubic,
-                              twisted_sextic)
-from octjordan.strata import (Hypersurface, corank_census, sample_on,
-                              surface_value)
+                              diagonal_triple, random_triple, triple_from_json,
+                              twisted_cubic, twisted_sextic)
+from octjordan.strata import (_INVARIANTS, EXPECTED_CORANK, LEADING_TOL,
+                              RESIDUAL_TOL, Hypersurface, SamplingError,
+                              _census_chunk, _merge_chunks, corank_census,
+                              sample_lanes, sample_on, surface_value)
 from octjordan.symmetry import random_spin7, spin7_act
 
 C = ComplexField()
+PAIRS = list(EXPECTED_CORANK)
+
+
+def _on_surface(surface, t):
+    scale = math.sqrt(sum(abs(z) ** 2 for z in t.flatten()))
+    degree = _INVARIANTS[surface][1]
+    return abs(surface_value(surface, t)) <= RESIDUAL_TOL * max(1.0, scale) ** degree
+
+
+def _reference_sample(surface, rng):
+    """One sample at a time in Python complex arithmetic, drawing as the
+    stacked sampler's lanes do."""
+    invariant, _degree, l3_degree = _INVARIANTS[surface]
+    for _ in range(200):
+        base = random_triple(C, 3, rng)
+
+        def at(l3):
+            return invariant(HermitianTriple(C, 3, (*base.lambdas[:2], l3),
+                                             base.a, base.b, base.c))
+
+        q0, q1 = at(0j), at(1 + 0j)
+        if l3_degree == 1:
+            lead = q1 - q0
+            if abs(lead) < LEADING_TOL:
+                continue
+            l3 = -q0 / lead
+        else:
+            lead = (at(2 + 0j) - 2 * q1 + q0) / 2
+            if abs(lead) < LEADING_TOL:
+                continue
+            a1 = q1 - q0 - lead
+            disc = cmath.sqrt(a1 * a1 - 4 * lead * q0)
+            l3 = (-a1 + disc) / (2 * lead) if rng.random() < 0.5 else \
+                (-a1 - disc) / (2 * lead)
+        point = HermitianTriple(C, 3, (*base.lambdas[:2], l3), base.a, base.b, base.c)
+        if _on_surface(surface, point):
+            return point
+    raise AssertionError("reference sampler found no point")
+
+
+def _reference_census(surface, matrix, tol, seed, samples):
+    """(histogram, gap_ratios_ok, (index, corank, point)) one sample at a time."""
+    build = build_M if matrix == "M" else build_N
+    hist, gaps_ok, witness = {}, 0, None
+    for i in range(samples):
+        point = _reference_sample(surface, derive_rng(seed, "strata", surface.value, matrix, i))
+        s = np.linalg.svd(build(point), compute_uv=False)
+        rank = int(np.sum(s > tol * s[0]))
+        corank = 24 - rank
+        hist[corank] = hist.get(corank, 0) + 1
+        gaps_ok += rank in (0, 24) or s[rank - 1] / s[rank] >= 1e4
+        if witness is None and corank == EXPECTED_CORANK[(surface, matrix)]:
+            witness = (i, corank, point)
+    return hist, gaps_ok, witness
 
 
 @pytest.mark.parametrize("surface", list(Hypersurface))
@@ -22,6 +81,49 @@ def test_sample_residual_contract(surface):
         scale = math.sqrt(sum(abs(z) ** 2 for z in t.flatten()))
         degree = 3 if surface is Hypersurface.TWISTED_CUBIC else 6
         assert abs(surface_value(surface, t)) <= 1e-9 * max(1.0, scale) ** degree
+
+
+@pytest.mark.parametrize("surface", list(Hypersurface))
+def test_sampled_points_hold_python_complex_scalars(surface):
+    t = sample_on(surface, derive_rng(0, "plain", surface.value))
+    assert type(t.lambdas[2]) is complex
+    assert all(type(z) is complex for z in t.flatten())
+    matrix = "M" if surface is Hypersurface.S_ODM else "N"
+    witness = corank_census(surface, matrix, samples=2, seed=0).witness
+    assert all(type(x) is float for key in ("lambda", "a", "b", "c")
+               for pair in witness[key] for x in pair)
+
+
+@pytest.mark.parametrize("tol_name,value,sign_draws", [("LEADING_TOL", math.inf, 0),
+                                                       ("RESIDUAL_TOL", 0.0, 1)])
+def test_sampler_gives_each_lane_max_tries_draws(monkeypatch, tol_name, value, sign_draws):
+    # a failed lead skips the root-sign draw; a failed residual follows it
+    monkeypatch.setattr(strata, tol_name, value)
+    rngs = [derive_rng(0, "tries", i) for i in range(3)]
+    with pytest.raises(SamplingError):
+        sample_lanes(Hypersurface.TWISTED_SEXTIC, rngs, max_tries=4)
+    for i, rng in enumerate(rngs):
+        fresh = derive_rng(0, "tries", i)
+        for _ in range(4):
+            random_triple(C, 3, fresh)
+            for _ in range(sign_draws):
+                fresh.random()
+        assert rng.random() == fresh.random()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("surface,matrix", PAIRS)
+def test_stacked_census_matches_the_per_sample_reference(surface, matrix, seed):
+    hist, gaps_ok, (index, corank, witness) = _census_chunk(surface.value, matrix, 1e-8,
+                                                            seed, 0, 40)
+    ref_hist, ref_gaps, (ref_index, ref_corank, ref_point) = \
+        _reference_census(surface, matrix, 1e-8, seed, 40)
+    assert (hist, gaps_ok, index, corank) == (ref_hist, ref_gaps, ref_index, ref_corank)
+    point = triple_from_json(C, witness)
+    assert (point.a, point.b, point.c) == (ref_point.a, ref_point.b, ref_point.c)
+    assert point.lambdas[:2] == ref_point.lambdas[:2]
+    assert abs(point.lambdas[2] - ref_point.lambdas[2]) <= 1e-9 * abs(ref_point.lambdas[2])
+    assert _on_surface(surface, point)
 
 
 def test_real_offdiagonal_sodm_reduces_to_det():
@@ -95,6 +197,13 @@ def test_census_determinism_and_merge_consistency():
     a = corank_census(Hypersurface.S_ODM, "M", samples=10, seed=7).to_json_dict()
     b = corank_census(Hypersurface.S_ODM, "M", samples=10, seed=7).to_json_dict()
     assert a == b
+    # lanes are independent: any chunking merges to the same bytes
+    for surface, matrix in PAIRS:
+        parts = [_census_chunk(surface.value, matrix, 1e-8, 5, lo, hi)
+                 for lo, hi in ((7, 20), (0, 1), (1, 7))]
+        chunked = _merge_chunks(surface, matrix, 20, 1e-8, 5, parts)
+        whole = corank_census(surface, matrix, samples=20, tol=1e-8, seed=5)
+        assert json.dumps(chunked.to_json_dict()) == json.dumps(whole.to_json_dict())
 
 
 def test_group_moves_preserve_corank():
