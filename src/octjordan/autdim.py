@@ -149,6 +149,9 @@ class PolyRing:
     """Ring-contract adapter so the algebra code runs on SparsePoly scalars."""
 
     kind = "exact"
+    # SparsePoly scalars have no arithmetic operators, so AlgebraElement
+    # products take one ring call per term instead of a sum and a reduce
+    reduce = None
 
     def __init__(self, p: int, n: int):
         if not PrimeField(p).int64_safe:

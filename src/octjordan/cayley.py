@@ -85,6 +85,20 @@ def right_basis_matrices(level: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _product_terms(level: int) -> tuple:
+    """Per output coordinate k, the (i, j, sign > 0) with e_i e_j = sign e_k,
+    in (i, j) order."""
+    n = 1 << level
+    tab = mult_table(level)
+    out = [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            s, k = tab[i][j]
+            out[k].append((i, j, s > 0))
+    return tuple(tuple(terms) for terms in out)
+
+
 def left_table_symbolic(level: int = 3) -> list[list[int]]:
     """Left multiplication table with entries as signed variable indices.
 
@@ -148,14 +162,37 @@ class AlgebraElement:
         return AlgebraElement(r, self.level, tuple(r.neg(a) for a in self.coords))
 
     def __mul__(self, other):
-        """The algebra product, via the structure-constant table."""
+        """The algebra product, via the structure-constant table.
+
+        Each output coordinate is accumulated with Python operators over
+        its terms x_i y_j, in the table's (i, j) order, and reduced once
+        by ring.reduce.  Over F_p the sum is an exact Python int, so the
+        coordinates must be Python ints (numpy int64 would overflow); over C,
+        and on lane-stacked complex128 scalars, the order of the additions
+        is that of a term-by-term ring.add/ring.sub loop, so the result is
+        bit-identical to it.  A ring whose scalars have no operators sets
+        `reduce = None` (autdim.PolyRing) and takes one ring call per term.
+        """
         self._require_same(other)
         r = self.ring
+        reduce = r.reduce
+        if reduce is None:
+            return self._ring_call_product(other)
+        x, y = self.coords, other.coords
+        out = []
+        for terms in _product_terms(self.level):
+            acc = r.zero
+            for i, j, plus in terms:
+                acc = acc + x[i] * y[j] if plus else acc - x[i] * y[j]
+            out.append(reduce(acc))
+        return AlgebraElement(r, self.level, tuple(out))
+
+    def _ring_call_product(self, other):
+        r = self.ring
         tab = mult_table(self.level)
-        n = len(self.coords)
-        out = [r.zero] * n
+        out = [r.zero] * len(self.coords)
         for i, xi in enumerate(self.coords):
-            if r.kind == "exact" and r.is_zero(xi):
+            if r.is_zero(xi):
                 continue
             for j, yj in enumerate(other.coords):
                 s, k = tab[i][j]

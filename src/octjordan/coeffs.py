@@ -7,6 +7,12 @@ same small operation set (add, sub, mul, neg, inv, sqrt, random, ...) so
 that the composition-algebra and Jordan-algebra code is ring-agnostic; the
 formal-expansion ring in :mod:`octjordan.autdim` implements the same
 contract with sparse polynomials as scalars.
+
+Both fields also provide `reduce`, which maps a value computed with Python
+or numpy operators on ring scalars (a sum of products, say) back to a ring
+scalar: `% p` over F_p, the identity over C.  Hot loops accumulate with
+operators and reduce once per result instead of calling add/mul per term.
+The polynomial ring sets it to None, because its scalars have no operators.
 """
 
 from __future__ import annotations
@@ -92,6 +98,9 @@ class PrimeField:
     def mul(self, a, b):
         return a * b % self.p
 
+    def reduce(self, a):
+        return a % self.p
+
     def neg(self, a):
         return -a % self.p
 
@@ -171,6 +180,9 @@ class ComplexField:
 
     def mul(self, a, b):
         return a * b
+
+    def reduce(self, a):
+        return a
 
     def neg(self, a):
         return -a

@@ -187,13 +187,7 @@ def _assemble(t: HermitianTriple, cblock: np.ndarray) -> np.ndarray:
     r = t.ring
     la = cayley.left_mult_matrix(t.a)
     lb = cayley.left_mult_matrix(t.b)
-    n = 1 << t.level
-    if isinstance(r, ComplexField):
-        idn = np.eye(n, dtype=np.complex128)
-    else:
-        idn = np.eye(n, dtype=np.int64)
-        if la.dtype == object:
-            idn = idn.astype(object)
+    idn = np.eye(1 << t.level, dtype=la.dtype)
     # lane-stacked scalars of shape (S,) give (S, n, n) blocks throughout
     l1, l2, l3 = (np.asarray(l)[..., None, None] * idn for l in t.lambdas)
     tr = lambda x: np.swapaxes(x, -1, -2)
@@ -202,9 +196,7 @@ def _assemble(t: HermitianTriple, cblock: np.ndarray) -> np.ndarray:
         [tr(cblock), l2, la],
         [lb, tr(la), l3],
     ])
-    if not isinstance(r, ComplexField):
-        out = out % r.p
-    return out
+    return r.reduce(out)
 
 
 def to_full_matrix(t: HermitianTriple) -> list:

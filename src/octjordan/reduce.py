@@ -524,7 +524,10 @@ def _offdiagonal_pipeline(state: HermitianTriple, word: TransformWord,
     h = _elementary(2, 0, -r6 / r7)
     state = sl3_act(_RING, h, state)
     state = _apply_and_record(word, "kill c", ("congruence", h), state)
-    h = _elementary(1, 2, -_coord(state, "a", 0) / state.lambdas[1])
+    # divided as numpy complex scalars (a reciprocal-scaled Smith quotient,
+    # which rounds differently from Python's complex division), so the
+    # recorded word does not depend on the scalar type of the state
+    h = _elementary(1, 2, -np.complex128(_coord(state, "a", 0)) / state.lambdas[1])
     state = sl3_act(_RING, h, state)
     state = _apply_and_record(word, "kill a", ("congruence", h), state)
     h = np.array([[-1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex)

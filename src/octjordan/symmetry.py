@@ -17,6 +17,8 @@ transpose-congruence by 3x3 scalar matrices.
 
 from __future__ import annotations
 
+import functools
+import operator
 import random
 from dataclasses import dataclass
 
@@ -25,7 +27,7 @@ import numpy as np
 from . import cayley, linalg
 from .cayley import AlgebraElement
 from .coeffs import ComplexField
-from .jordan import HermitianTriple
+from .jordan import HermitianTriple, to_full_matrix
 
 LIFT_TOL = 1e-10
 
@@ -237,21 +239,32 @@ def so7_act(ring, t1: np.ndarray, a: HermitianTriple) -> HermitianTriple:
 
 def sl3_act(ring, h: np.ndarray, a: HermitianTriple) -> HermitianTriple:
     """Transpose-congruence H^T A H; scalar 3x3 coefficients commute with
-    the octonion entries so the product is unambiguous."""
-    from .jordan import to_full_matrix
+    the octonion entries so the product is unambiguous.
+
+    Entry (i, j) is sum_{k,l} (h_ki h_lj) A_kl.  Each of its coordinates is
+    one ordered sum over the nine (k, l), taken with Python operators and
+    reduced once by ring.reduce; only the coordinates a triple keeps are
+    formed (the off-diagonal entries and the real parts of the diagonal).
+    Over C the additions run in the order of the term-by-term sum, so the
+    result is bit-identical to it.  The scalars of the result are Python
+    ints or complex numbers.
+    """
+    hs = h.tolist()
+    pairs = [(k, l) for k in range(3) for l in range(3)]
     full = to_full_matrix(a)
-    out = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            acc = cayley.zero(ring, a.level)
-            for k in range(3):
-                for l in range(3):
-                    acc = acc + full[k][l].scale(ring.mul(h[k, i], h[l, j]))
-            row.append(acc)
-        out.append(row)
-    lams = tuple(out[i][i].coords[0] for i in range(3))
-    return HermitianTriple(ring, a.level, lams, out[1][2], out[2][0], out[0][1])
+    # column c holds coordinate c of the nine A_kl, in (k, l) order
+    cols = list(zip(*(full[k][l].coords for k, l in pairs)))
+
+    def entry(i, j, columns):
+        weights = [hs[k][i] * hs[l][j] for k, l in pairs]
+        return tuple(ring.reduce(functools.reduce(operator.add, map(operator.mul, weights, col),
+                                                  ring.zero))
+                     for col in columns)
+
+    lams = tuple(entry(i, i, cols[:1])[0] for i in range(3))
+    new_a, new_b, new_c = (AlgebraElement(ring, a.level, entry(i, j, cols))
+                           for i, j in ((1, 2), (2, 0), (0, 1)))
+    return HermitianTriple(ring, a.level, lams, new_a, new_b, new_c)
 
 
 def random_so7(ring, rng: random.Random, tries: int = 64) -> np.ndarray:

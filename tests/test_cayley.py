@@ -1,8 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
-from octjordan import cayley
+from octjordan import cayley, linalg
+from octjordan.autdim import PolyRing
 from octjordan.cayley import (AlgebraElement, associator, basis, bilinear,
                               gram_im, left_mult_matrix, left_table_symbolic,
                               phi, random_element, recompose,
@@ -186,27 +188,73 @@ def test_complex_ring_products():
         assert abs(defect) < 1e-12 * max(1.0, abs(x.norm_sq()) * abs(y.norm_sq()))
 
 
-def test_product_skips_zero_coordinates_only_over_exact_rings(monkeypatch):
-    # over C the zero test would only be discarded, and it rejects array scalars
-    counts = {}
-    for cls in (ComplexField, PrimeField):
-        for name in ("is_zero", "mul"):
-            orig = getattr(cls, name)
+@pytest.mark.parametrize("p", [29, P31, 2**61 - 1])
+def test_product_matches_left_multiplication_over_prime_fields(p):
+    field = PrimeField(p)
+    rng = derive_rng(0, "prodmat", p)
+    for _ in range(5):
+        x, y = random_element(field, 3, rng), random_element(field, 3, rng)
+        # a zero coordinate and the top residue exercise the edges of the sum
+        x = AlgebraElement(field, 3, (0,) + x.coords[1:7] + (p - 1,))
+        want = linalg.matmul(field, left_mult_matrix(x), np.array(y.coords, dtype=object))
+        prod = x * y
+        assert prod.coords == tuple(int(v) for v in want)
+        assert all(type(v) is int and 0 <= v < p for v in prod.coords)
 
-            def counted(self, *args, _key=(cls.__name__, name), _orig=orig):
-                counts[_key] = counts.get(_key, 0) + 1
-                return _orig(self, *args)
-            monkeypatch.setattr(cls, name, counted)
-    rng = random.Random(5)
+
+def _term_by_term(x, y):
+    # one ring.add/ring.sub per structure constant, in the table's (i, j) order
+    r, tab = x.ring, cayley.mult_table(x.level)
+    out = [r.zero] * len(x.coords)
+    for i, xi in enumerate(x.coords):
+        for j, yj in enumerate(y.coords):
+            s, k = tab[i][j]
+            out[k] = r.add(out[k], r.mul(xi, yj)) if s > 0 else r.sub(out[k], r.mul(xi, yj))
+    return out
+
+
+def test_product_matches_left_multiplication_over_complex_numbers():
     r = ComplexField()
-    random_element(r, 3, rng) * random_element(r, 3, rng)
-    assert counts == {("ComplexField", "mul"): 64}
-    counts.clear()
-    x = random_element(F, 3, rng)
-    x = AlgebraElement(F, 3, tuple(0 if i in (1, 4, 6) else v
-                                   for i, v in enumerate(x.coords)))
-    x * random_element(F, 3, rng)
-    assert counts == {("PrimeField", "is_zero"): 8, ("PrimeField", "mul"): 5 * 8}
+    rng = random.Random(5)
+    for _ in range(5):
+        x, y = random_element(r, 3, rng), random_element(r, 3, rng)
+        want = left_mult_matrix(x) @ np.array(y.coords)
+        assert np.allclose((x * y).coords, want, rtol=0, atol=1e-14)
+        # the sums run in the order of a term-by-term loop, bit for bit
+        assert list((x * y).coords) == _term_by_term(x, y)
+
+
+def test_product_on_complex_lanes_is_the_product_of_each_lane():
+    r = ComplexField()
+    rng = random.Random(6)
+    xs = [random_element(r, 3, rng) for _ in range(4)]
+    ys = [random_element(r, 3, rng) for _ in range(4)]
+    stack = lambda els: AlgebraElement(r, 3, tuple(np.array([e.coords for e in els]).T))
+    prod = stack(xs) * stack(ys)
+    assert all(v.shape == (4,) for v in prod.coords)
+    ref = _term_by_term(stack(xs), stack(ys))
+    assert all(np.array_equal(v, w) for v, w in zip(prod.coords, ref))
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        want = left_mult_matrix(x) @ np.array(y.coords)
+        assert np.allclose([v[i] for v in prod.coords], want, rtol=0, atol=1e-14)
+
+
+def test_product_over_polynomial_scalars_matches_left_multiplication():
+    ring = PolyRing(313, 16)
+    x = AlgebraElement(ring, 3, tuple(ring.variable(i) for i in range(8)))
+    y = AlgebraElement(ring, 3, tuple(ring.variable(8 + i) for i in range(8)))
+    prod = (x * y).coords
+    # coordinate k of xy is sum_i sum_j L[k][j] entry for x_i y_j, read off
+    # the signed-index table of left multiplication
+    for k in range(8):
+        want = {}
+        for j in range(8):
+            entry = LEFT_TABLE[k][j]
+            exps = [0] * 16
+            exps[abs(entry) - 1] = 1
+            exps[8 + j] = 1
+            want[tuple(exps)] = 1 if entry > 0 else 313 - 1
+        assert prod[k].terms == want
 
 
 def test_bilinear_polarizes_norm():

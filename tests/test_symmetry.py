@@ -4,8 +4,8 @@ import pytest
 from octjordan import cayley, linalg, symmetry
 from octjordan.coeffs import ComplexField, PrimeField, derive_rng
 from octjordan.jordan import (HermitianTriple, build_M, build_N, det_cartan,
-                              random_triple, s_odm, twisted_cubic,
-                              twisted_sextic)
+                              full_matmul, random_triple, s_odm, to_full_matrix,
+                              twisted_cubic, twisted_sextic)
 from octjordan.symmetry import (LiftError, TrialityTriple,
                                 fast_right_companion, kappa,
                                 lift_left_companion, lift_right_companion,
@@ -144,6 +144,38 @@ def test_sl3_act():
         moved = sl3_act(F, h, a)
         dh = linalg.det(F, h)
         assert det_cartan(moved) == F.mul(F.mul(dh, dh), det_cartan(a))
+
+
+def _congruence_by_full_matmul(ring, h, a):
+    # H^T A H as products of 3x3 matrices of octonions, scalars embedded
+    emb = [[cayley.embed_scalar(ring, 3, v) for v in row] for row in h.tolist()]
+    ht = [[emb[j][i] for j in range(3)] for i in range(3)]
+    out = full_matmul(full_matmul(ht, to_full_matrix(a)), emb)
+    return HermitianTriple(ring, 3, tuple(out[i][i].coords[0] for i in range(3)),
+                           out[1][2], out[2][0], out[0][1])
+
+
+@pytest.mark.parametrize("ring", [PrimeField(313), F, PrimeField(2**61 - 1), C],
+                         ids=["F313", "F2^31-1", "F2^61-1", "C"])
+def test_sl3_act_is_the_congruence_of_the_full_matrix(ring):
+    rng = derive_rng(0, "sl3ref", repr(ring))
+    draw = lambda: ring.random(rng)
+    for general in (True, False):
+        if general:
+            rows = [[draw() for _ in range(3)] for _ in range(3)]
+        else:  # the block shape of C9's twisted covariance check
+            rows = [[draw(), draw(), 0], [draw(), draw(), 0], [0, 0, draw()]]
+        h = np.array(rows, dtype=complex) if ring == C else linalg.field_array(ring, rows)
+        a = random_triple(ring, 3, rng)
+        got, want = sl3_act(ring, h, a), _congruence_by_full_matmul(ring, h, a)
+        scalars = got.flatten()
+        if ring == C:
+            assert all(type(v) is complex for v in scalars)
+            assert np.allclose(scalars, want.flatten(), rtol=0, atol=1e-12)
+        else:
+            assert h.dtype == (np.int64 if ring.int64_safe else object)
+            assert all(type(v) is int for v in scalars)
+            assert got == want
 
 
 def test_sl3_spin7_rank_preservation_on_degenerate_point():
