@@ -11,14 +11,20 @@ space of six variables; its rank r bounds the automorphism Lie algebra
 of the sextic by dim <= 162 - r.  At a generic point the rank is 133,
 which matches 162 - 29 with 29 = dim SO7 + dim SL3.
 
-The restriction runs level by level.  A plan, built once from the
-gradient, stores the prefix tree of the terms' sorted index multisets as
-int64 arrays (one parent slot and one last variable per node); it does
-not depend on the chart, so every retry reuses it.  For a chart, levels
-1-4 of the tree are expanded as whole batches, and the degree-5 top level
-is contracted with the coefficients one partial at a time.  Every product
-is reduced mod p before it is summed, so every prime PolyRing accepts
-stays in int64.
+The restriction splits every quintic term as cubic x quadratic.  A plan,
+built once from the gradient, stores the prefix tree of the terms' sorted
+index multisets as int64 arrays (one parent slot and one last variable per
+node); it does not depend on the chart, so every retry reuses it.  For a
+chart, levels 1-3 of the tree are expanded as whole batches (56 cubic
+coefficients per node); each term's last two indices and its coefficient
+give a quadratic (21 coefficients), and each partial is one matmul of its
+terms' cubics with their quadratics, scattered into the 252 quintic
+slots.  No degree-4 node is expanded.  Elementwise products are reduced
+mod p before they are summed, and linalg.matmul keeps its sums in int64,
+so every prime PolyRing accepts stays in int64.
+
+The sextic itself is expanded with SparsePoly products that add exponents
+packed one byte per variable into Python ints.
 
 The rank over F_p at a rational point lower-bounds the characteristic-0
 rank at the same point (semicontinuity), so the reported bound uses the
@@ -78,6 +84,9 @@ class SparsePoly:
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
+    def max_exponent(self) -> int:
+        return max(map(max, self.terms), default=0)
+
     def is_homogeneous(self) -> bool:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
@@ -102,18 +111,27 @@ class SparsePoly:
         return self.add(other.neg(p), p)
 
     def mul(self, other: "SparsePoly", p: int) -> "SparsePoly":
-        if len(self.terms) > len(other.terms):
-            self, other = other, self
-        out: dict = {}
+        """Product.  Each exponent is packed one byte per variable into an
+        int, so adding the packed ints adds the exponents; the output keys
+        are unpacked into tuples once, after the coefficients are summed."""
+        if self.max_exponent() + other.max_exponent() > 255:
+            raise ValueError("an exponent of the product could pass 255, "
+                             "past the one-byte packing")
+        n = self.n
+        right = [(int.from_bytes(bytes(e), "little"), c) for e, c in other.terms.items()]
+        acc: dict = {}
+        get = acc.get
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = (out.get(e, 0) + c1 * c2) % p
-                if v:
-                    out[e] = v
-                else:
-                    out.pop(e, None)
-        return SparsePoly(self.n, out)
+            k1 = int.from_bytes(bytes(e1), "little")
+            for k2, c2 in right:
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
+        out = {}
+        for k, v in acc.items():
+            v %= p
+            if v:
+                out[tuple(k.to_bytes(n, "little"))] = v
+        return SparsePoly(n, out)
 
     def scale(self, c: int, p: int) -> "SparsePoly":
         c %= p
@@ -309,35 +327,72 @@ def _raise_level(prev: np.ndarray, coef: np.ndarray, degree: int, p: int) -> np.
     return out % p
 
 
+def _quadratics(m: np.ndarray, p: int) -> np.ndarray:
+    """(n, n, 21): the degree-2 coefficients of (m[u] . z)(m[v] . z)."""
+    out = np.zeros((len(m), len(m), len(_monomials(2))), dtype=np.int64)
+    for a in range(CHART_VARS):
+        for b in range(CHART_VARS):
+            # degree-1 slot a is z_a, so this is the slot of z_a z_b
+            out[:, :, _raise_map(2, b)[a]] += np.outer(m[:, a], m[:, b]) % p
+    return out % p
+
+
+@lru_cache(maxsize=None)
+def _product_slots() -> np.ndarray:
+    """(56, 21) table: degree-5 slot of (cubic monomial i) * (quadratic j)."""
+    idx = _mono_index(5)
+    return np.array([[idx[tuple(u + v for u, v in zip(e3, e2))] for e2 in _monomials(2)]
+                     for e3 in _monomials(3)], dtype=np.int64)
+
+
 def _restrict(plan: RestrictionPlan, m: np.ndarray, p: int) -> np.ndarray:
     """The partials restricted through x_i <- sum_j m[i,j] z_j, one row per
     partial, in the fixed graded-lex basis of degree-5 monomials.
 
-    Levels 1-4 of the prefix tree are expanded as whole batches; the top
-    level is contracted with the coefficients one partial at a time, so the
-    degree-5 image of every single term is never materialized."""
+    Every term is split as cubic x quadratic.  Levels 1-3 of the prefix
+    tree are expanded as whole batches (56 cubic coefficients per node);
+    each term's quadratic is the product of the chart rows of its last two
+    indices, one scaled by the coefficient (21 coefficients).  A partial's
+    restriction is then one product of its terms' cubic columns (56 x n)
+    with their quadratics (n x 21), scattered into the 252 quintic slots,
+    so no degree-4 node is ever expanded.  Elementwise products are
+    reduced before they are summed and linalg.matmul keeps its sums in
+    int64, so every prime PolyRing accepts stays in int64."""
     m = np.asarray(m, dtype=np.int64) % p
     level = np.ones((1, 1), dtype=np.int64)
-    for k in range(4):
+    for k in range(3):
         level = _raise_level(level[:, plan.parent[k]], m[plan.last[k]].T, k + 1, p)
+    owner, slot, coeff = plan.terms.T
+    node4 = plan.parent[4][slot]
+    cubic = level.T[plan.parent[3][node4]]
+    quad = _quadratics(m, p)[plan.last[3][node4], plan.last[4][slot]] * coeff[:, None] % p
+    field = PrimeField(p)
+    table = _product_slots()
+    bounds = np.searchsorted(owner, np.arange(plan.n_partials + 1))
     out = np.zeros((plan.n_partials, len(_monomials(5))), dtype=np.int64)
-    for i in range(plan.n_partials):
-        _, slot, coeff = plan.terms[plan.terms[:, 0] == i].T
-        below = level[:, plan.parent[4][slot]]
-        scale = m[plan.last[4][slot]].T * coeff % p
-        for j in range(CHART_VARS):
-            out[i, _raise_map(5, j)] += (below * scale[j] % p).sum(axis=1) % p
+    for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        np.add.at(out[i], table, linalg.matmul(field, cubic[lo:hi].T, quad[lo:hi]))
     return out % p
 
 
-def jacobian_image_rank(plan: RestrictionPlan, m: np.ndarray, prime: int) -> int:
+def jacobian_image_rank(plan: RestrictionPlan, m: np.ndarray, prime: int, *,
+                        stage_sec: dict | None = None) -> int:
     """Rank of the 162 x 462 coefficient matrix of z_j * (dS/dx_i restricted
-    through m), in the degree-6 space of the six chart variables."""
+    through m), in the degree-6 space of the six chart variables.
+
+    stage_sec, when given, accumulates the seconds spent building the
+    matrix ("restrict") and ranking it ("rank")."""
+    start = time.perf_counter()
     restricted = _restrict(plan, m, prime)
     rows = np.zeros((len(restricted), CHART_VARS, DEGREE6_DIM), dtype=np.int64)
     for j in range(CHART_VARS):
         rows[:, j, _raise_map(6, j)] = restricted
-    return linalg.rank(PrimeField(prime), rows.reshape(-1, DEGREE6_DIM))
+    built = time.perf_counter()
+    out = linalg.rank(PrimeField(prime), rows.reshape(-1, DEGREE6_DIM))
+    if stage_sec is not None:
+        stage_sec["restrict"] = stage_sec.get("restrict", 0.0) + built - start
+        stage_sec["rank"] = stage_sec.get("rank", 0.0) + time.perf_counter() - built
+    return out
 
 
 def random_restriction(prime: int, rng) -> np.ndarray:
@@ -357,10 +412,11 @@ def aut_dimension_bound(prime: int, seed: int, retries: int,
     expand_elapsed = time.perf_counter() - start
     plan = restriction_plan(gradient(poly, prime))
     ranks = []
+    stage_sec = {"restrict": 0.0, "rank": 0.0}
     for k in range(retries):
         rng = derive_rng(seed, "autdim", invariant, k)
         m = random_restriction(prime, rng)
-        ranks.append(jacobian_image_rank(plan, m, prime))
+        ranks.append(jacobian_image_rank(plan, m, prime, stage_sec=stage_sec))
     report = {
         "prime": prime,
         "seed": seed,
@@ -371,6 +427,8 @@ def aut_dimension_bound(prime: int, seed: int, retries: int,
         "ranks": ranks,
         "elapsed_sec": time.perf_counter() - start,
         "expand_sec": expand_elapsed,
+        "restrict_sec": stage_sec["restrict"],
+        "rank_sec": stage_sec["rank"],
     }
     if invariant == "sodm":
         report["sodm_terms"] = len(poly)

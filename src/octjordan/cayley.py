@@ -218,11 +218,7 @@ class AlgebraElement:
 
     def norm_sq(self):
         """x conj(x) as a ring scalar; equals the coordinate sum of squares."""
-        r = self.ring
-        acc = r.zero
-        for a in self.coords:
-            acc = r.add(acc, r.mul(a, a))
-        return acc
+        return bilinear(self, self)
 
 
 def zero(ring, level: int) -> AlgebraElement:
@@ -252,12 +248,20 @@ def random_element(ring, level: int, rng: random.Random) -> AlgebraElement:
 
 
 def bilinear(x: AlgebraElement, y: AlgebraElement):
-    """The symmetric form polarizing norm_sq: B(x, y) = sum_i x_i y_i."""
+    """The symmetric form polarizing norm_sq: B(x, y) = sum_i x_i y_i.
+
+    Summed in coordinate order from ring.zero with Python operators and
+    reduced once, like the product; a ring with `reduce = None` takes one
+    ring call per term."""
     r = x.ring
     acc = r.zero
+    if r.reduce is None:
+        for a, b in zip(x.coords, y.coords):
+            acc = r.add(acc, r.mul(a, b))
+        return acc
     for a, b in zip(x.coords, y.coords):
-        acc = r.add(acc, r.mul(a, b))
-    return acc
+        acc = acc + a * b
+    return r.reduce(acc)
 
 
 def left_mult_matrix(x: AlgebraElement) -> np.ndarray:

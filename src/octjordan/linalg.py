@@ -4,9 +4,11 @@ Field matrices are numpy arrays of int64 residues at every prime up to
 coeffs.INT64_SAFE_MODULUS, and of Python ints (object dtype) past it; all
 elimination steps reduce mod p immediately after each scalar product, and
 products whose sums could pass 2^63 split the left factor into 16-bit limbs
-(see matmul), so no intermediate overflows.  Complex matrices
-are complex128 and the rank/nullspace decisions go through singular values
-with a tolerance relative to the largest one.
+(see matmul), so no intermediate overflows.  rank and det eliminate by
+forward elimination (only the rows below each pivot); nullspace and solve
+read the reduced row echelon form.  Complex matrices are complex128 and
+the rank/nullspace decisions go through singular values with a tolerance
+relative to the largest one.
 """
 
 from __future__ import annotations
@@ -76,8 +78,13 @@ def matmul(ring, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _echelon(p: int, a: np.ndarray):
-    """Row echelon form mod p.  Returns (matrix, pivot columns, det factor)."""
+def _echelon(p: int, a: np.ndarray, reduced: bool = True):
+    """Row echelon form mod p.  Returns (matrix, pivot columns, det factor).
+
+    With reduced, every pivot column is cleared above and below its pivot
+    (the reduced form nullspace and solve read); otherwise only the rows
+    below are eliminated, which is all rank and det need.  The pivot
+    columns and the det factor are the same either way."""
     m = a % p  # fresh array, safe to eliminate in place
     rows, cols = m.shape
     pivcols = []
@@ -95,8 +102,11 @@ def _echelon(p: int, a: np.ndarray):
         detf = detf * int(m[r, c]) % p
         m[r, c:] = m[r, c:] * inv % p
         # row r is zero left of c, so the update touches columns c: only
-        others = np.flatnonzero(m[:, c])
-        others = others[others != r]
+        if reduced:
+            others = np.flatnonzero(m[:, c])
+            others = others[others != r]
+        else:
+            others = r + 1 + np.flatnonzero(m[r + 1:, c])
         m[others, c:] = (m[others, c:] - np.outer(m[others, c], m[r, c:])) % p
         pivcols.append(c)
         r += 1
@@ -111,7 +121,7 @@ def det(ring, a: np.ndarray):
         raise ValueError("determinant of a non-square matrix")
     if isinstance(ring, ComplexField):
         return complex(np.linalg.det(a))
-    _, pivcols, detf = _echelon(ring.p, a)
+    _, pivcols, detf = _echelon(ring.p, a, reduced=False)
     if len(pivcols) < a.shape[0]:
         return 0
     return detf
@@ -125,7 +135,7 @@ def rank(ring, a: np.ndarray, tol: float | None = None) -> int:
         if s.size == 0 or s[0] == 0.0:
             return 0
         return int(np.sum(s > (tol or DEFAULT_RANK_TOL) * s[0]))
-    _, pivcols, _ = _echelon(ring.p, a)
+    _, pivcols, _ = _echelon(ring.p, a, reduced=False)
     return len(pivcols)
 
 

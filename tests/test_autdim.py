@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from octjordan.autdim import (CHART_ROWS, CHART_VARS, PolyRing, SparsePoly,
-                              _monomials, _restrict, aut_dimension_bound,
-                              expand_sodm, gradient, jacobian_image_rank,
-                              random_restriction, restriction_plan,
-                              symbolic_triple)
+                              _monomials, _raise_map, _restrict,
+                              aut_dimension_bound, expand_sodm,
+                              expand_twisted_sextic, gradient,
+                              jacobian_image_rank, random_restriction,
+                              restriction_plan, symbolic_triple)
 from octjordan.coeffs import PrimeField, derive_rng
 from octjordan.jordan import random_triple, s_odm
 
@@ -25,6 +26,45 @@ def test_sparse_poly_arithmetic():
     # cancellation removes entries
     r = x.sub(x, p)
     assert len(r) == 0
+
+
+def _reference_mul(a, b, p):
+    # one exponent tuple per term pair, reduced as it is summed
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(u + v for u, v in zip(e1, e2))
+            out[e] = (out.get(e, 0) + c1 * c2) % p
+    return {e: c for e, c in out.items() if c}
+
+
+@pytest.mark.parametrize("prime", [313, P31])
+def test_packed_product_matches_the_tuple_product(prime):
+    rng = derive_rng(0, "packed-mul", prime)
+    n = 9
+
+    def random_poly(terms, top):
+        return SparsePoly(n, {tuple(rng.randrange(top) for _ in range(n)): rng.randrange(1, prime)
+                              for _ in range(terms)})
+
+    for top in (2, 4, 128):
+        a, b = random_poly(40, top), random_poly(30, top)
+        for x, y in ((a, b), (b, a), (a, a)):
+            assert x.mul(y, prime).terms == _reference_mul(x, y, prime)
+    # (x - y)(x + y) = x^2 - y^2: the cross terms cancel to zero and vanish
+    x, y = SparsePoly.variable(n, 0), SparsePoly.variable(n, n - 1)
+    diff_sq = x.sub(y, prime).mul(x.add(y, prime), prime)
+    assert diff_sq.terms == x.mul(x, prime).sub(y.mul(y, prime), prime).terms
+    assert len(diff_sq) == 2
+    assert SparsePoly.const(n, 3, prime).mul(SparsePoly.zero(n), prime).is_zero()
+
+
+def test_packed_product_refuses_an_exponent_past_one_byte():
+    p = 313
+    x200 = SparsePoly(3, {(200, 0, 1): 1})
+    assert x200.mul(SparsePoly(3, {(55, 2, 0): 1}), p).terms == {(255, 2, 1): 1}
+    with pytest.raises(ValueError, match="255"):
+        x200.mul(SparsePoly(3, {(56, 0, 0): 1}), p)
 
 
 def test_poly_ring_inverse_of_constant_only():
@@ -117,6 +157,49 @@ def test_restriction_evaluates_the_partials_on_the_chart(prime):
             assert image == part.eval(x, prime)
 
 
+def _reference_raise_level(prev, coef, degree, p):
+    out = np.zeros((len(_monomials(degree)), prev.shape[1]), dtype=np.int64)
+    for j in range(CHART_VARS):
+        out[_raise_map(degree, j)] += prev * coef[j] % p
+    return out % p
+
+
+def _reference_restrict(plan, m, p):
+    """The level-by-level restriction: levels 1-4 of the prefix tree expanded
+    as batches, the top level contracted one partial at a time."""
+    m = np.asarray(m, dtype=np.int64) % p
+    level = np.ones((1, 1), dtype=np.int64)
+    for k in range(4):
+        level = _reference_raise_level(level[:, plan.parent[k]], m[plan.last[k]].T, k + 1, p)
+    out = np.zeros((plan.n_partials, len(_monomials(5))), dtype=np.int64)
+    for i in range(plan.n_partials):
+        _, slot, coeff = plan.terms[plan.terms[:, 0] == i].T
+        below = level[:, plan.parent[4][slot]]
+        scale = m[plan.last[4][slot]].T * coeff % p
+        for j in range(CHART_VARS):
+            out[i, _raise_map(5, j)] += (below * scale[j] % p).sum(axis=1) % p
+    return out % p
+
+
+@pytest.mark.parametrize("prime", [313, P31])
+def test_restriction_matches_the_level_by_level_reference(prime):
+    plan = restriction_plan(gradient(expand_sodm(prime), prime))
+    rng = derive_rng(0, "restrict-reference", prime)
+    charts = [random_restriction(prime, rng) for _ in range(3)]
+    charts.append(np.zeros((27, CHART_VARS), dtype=np.int64))
+    twin = random_restriction(prime, rng)
+    twin[:, 4] = twin[:, 1]
+    charts.append(twin)
+    top = np.full((27, CHART_VARS), prime - 1, dtype=np.int64)
+    charts.append(top)
+    for m in charts:
+        assert np.array_equal(_restrict(plan, m, prime), _reference_restrict(plan, m, prime))
+    # a gradient with fewer terms and a partial-to-term map of another shape
+    twisted = restriction_plan(gradient(expand_twisted_sextic(prime), prime))
+    assert np.array_equal(_restrict(twisted, charts[0], prime),
+                          _reference_restrict(twisted, charts[0], prime))
+
+
 def test_restriction_plan_rejects_a_non_quintic_partial():
     p = 313
     ring = PolyRing(p, 27)
@@ -133,11 +216,14 @@ def test_restriction_plan_rejects_a_non_quintic_partial():
 def test_aut_dimension_bound_reports():
     rep = aut_dimension_bound(313, seed=1, retries=3)
     assert rep["max_rank"] == 133
+    stages = [rep[k] for k in ("expand_sec", "restrict_sec", "rank_sec")]
+    assert min(stages) >= 0 and sum(stages) <= rep["elapsed_sec"]
     assert rep["aut_dim_bound"] == 29
     assert rep["sodm_degree"] == 6
     assert "162 - 29 = 133" in rep["consistency"]
     empty = aut_dimension_bound(313, seed=1, retries=0)
     assert "max_rank" not in empty and "note" in empty
+    assert empty["restrict_sec"] == empty["rank_sec"] == 0
 
 
 def test_twisted_sextic_variant_reports_without_target():

@@ -264,3 +264,50 @@ def test_bilinear_polarizes_norm():
         y = random_element(F, 3, rng)
         lhs = F.sub((x + y).norm_sq(), F.add(x.norm_sq(), y.norm_sq()))
         assert lhs == F.mul(2, bilinear(x, y))
+
+
+def _ring_call_bilinear(x, y):
+    # one ring.mul and one ring.add per coordinate, in coordinate order
+    r, acc = x.ring, x.ring.zero
+    for a, b in zip(x.coords, y.coords):
+        acc = r.add(acc, r.mul(a, b))
+    return acc
+
+
+@pytest.mark.parametrize("ring", [PrimeField(29), F, PrimeField(2**61 - 1), ComplexField()],
+                         ids=["F29", "F31", "F61", "C"])
+def test_bilinear_and_norm_match_the_ring_call_sum(ring):
+    rng = derive_rng(0, "bilinear-sum", repr(ring))
+    top = ring.from_int(-1)
+    for _ in range(5):
+        x, y = random_element(ring, 3, rng), random_element(ring, 3, rng)
+        # the top residue in every coordinate is the largest exact sum
+        for u, v in ((x, y), (x, x), (zero(ring, 3), y),
+                     (AlgebraElement(ring, 3, (top,) * 8), AlgebraElement(ring, 3, (top,) * 8))):
+            assert bilinear(u, v) == _ring_call_bilinear(u, v)
+            assert type(bilinear(u, v)) is type(_ring_call_bilinear(u, v))
+            assert u.norm_sq() == _ring_call_bilinear(u, u)
+
+
+def test_bilinear_on_complex_lanes_is_the_ring_call_sum_bit_for_bit():
+    r = ComplexField()
+    rng = random.Random(8)
+    xs = [random_element(r, 3, rng) for _ in range(4)]
+    ys = [random_element(r, 3, rng) for _ in range(4)]
+    stack = lambda els: AlgebraElement(r, 3, tuple(np.array([e.coords for e in els]).T))
+    x, y = stack(xs), stack(ys)
+    assert np.array_equal(bilinear(x, y), _ring_call_bilinear(x, y))
+    assert np.array_equal(x.norm_sq(), _ring_call_bilinear(x, x))
+    # numpy's complex multiply rounds apart from Python's, so lanes agree
+    # with the scalar form only to rounding
+    assert np.allclose(bilinear(x, y), [bilinear(u, v) for u, v in zip(xs, ys)],
+                       rtol=0, atol=1e-14)
+
+
+def test_bilinear_over_polynomial_scalars_keeps_ring_calls():
+    ring = PolyRing(313, 16)
+    x = AlgebraElement(ring, 3, tuple(ring.variable(i) for i in range(8)))
+    y = AlgebraElement(ring, 3, tuple(ring.variable(8 + i) for i in range(8)))
+    want = {tuple(int(k in (i, 8 + i)) for k in range(16)): 1 for i in range(8)}
+    assert bilinear(x, y).terms == want
+    assert x.norm_sq().terms == {tuple(2 * int(k == i) for k in range(16)): 1 for i in range(8)}

@@ -200,6 +200,44 @@ def test_echelon_rank_and_nullspace_match_reference(p, rows, cols, r):
 
 
 @pytest.mark.parametrize("p", ELIMINATION_PRIMES)
+@pytest.mark.parametrize("rows, cols, r, lead", [(20, 60, 13, 0), (30, 90, 17, 40),
+                                                  (30, 90, 0, 40), (16, 48, 16, 20)])
+def test_wide_rank_with_pivots_right_of_their_row(p, rows, cols, r, lead):
+    # lead zero columns push every pivot right of its row; with the column
+    # shuffle of known_rank most pivots sit right of their row anyway
+    ring = PrimeField(p)
+    rng = derive_rng(0, "wide-echelon", p, rows, cols, r, lead)
+    for _ in range(3):
+        raw = [[0] * lead + row for row in known_rank(p, rows, cols - lead, r, rng)]
+        a = field_array(ring, raw)
+        assert rank(ring, a) == r == reference_rank_det(raw, p)[0]
+        assert rank(ring, a.T) == r
+        ker = nullspace(ring, a)
+        assert ker.shape == (cols, cols - r)
+        assert not np.any(matmul(ring, a, ker))
+
+
+@pytest.mark.parametrize("p", ELIMINATION_PRIMES)
+@pytest.mark.parametrize("r", [12, 9])
+def test_det_sign_under_row_swaps(p, r):
+    # zeros on the leading diagonal force the elimination itself to swap rows
+    ring = PrimeField(p)
+    rng = derive_rng(0, "det-swaps", p, r)
+    n = 12
+    for _ in range(3):
+        raw = known_rank(p, n, n, r, rng)
+        for i in range(n // 2):
+            raw[i][i] = 0
+        want = reference_rank_det(raw, p)[1]
+        assert det(ring, field_array(ring, raw)) == want
+        perm = list(range(n))
+        rng.shuffle(perm)
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        swapped = field_array(ring, [raw[i] for i in perm])
+        assert det(ring, swapped) == (-want if inversions % 2 else want) % p
+
+
+@pytest.mark.parametrize("p", ELIMINATION_PRIMES)
 def test_det_solve_inv_match_reference(p):
     ring = PrimeField(p)
     rng = derive_rng(0, "det-solve", p)
