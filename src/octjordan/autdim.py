@@ -12,14 +12,15 @@ of the sextic by dim <= 162 - r.  At a generic point the rank is 133,
 which matches 162 - 29 with 29 = dim SO7 + dim SL3.
 
 The restriction splits every quintic term as cubic x quadratic.  A plan,
-built once from the gradient, stores the prefix tree of the terms' sorted
-index multisets as int64 arrays (one parent slot and one last variable per
-node); it does not depend on the chart, so every retry reuses it.  For a
-chart, levels 1-3 of the tree are expanded as whole batches (56 cubic
-coefficients per node); each term's last two indices and its coefficient
-give a quadratic (21 coefficients), and each partial is one matmul of its
-terms' cubics with their quadratics, scattered into the 252 quintic
-slots.  No degree-4 node is expanded.  Elementwise products are reduced
+built once from the gradient, stores levels 1-3 of the prefix tree of the
+terms' sorted index multisets as int64 arrays (one parent slot and one
+last variable per node) and each term's last two indices; it does not
+depend on the chart, so every retry reuses it.  For a chart, levels 1-3
+of the tree are expanded as whole batches (56 cubic coefficients per
+node); each term's last two indices and its coefficient give a
+quadratic (21 coefficients), and each partial is one matmul of its terms'
+cubics with their quadratics, scattered into the 252 quintic slots.  No
+degree-4 node is expanded.  Elementwise products are reduced
 mod p before they are summed, and linalg.matmul keeps its sums in int64,
 so every prime PolyRing accepts stays in int64.
 
@@ -166,13 +167,12 @@ class SparsePoly:
 class PolyRing:
     """Ring-contract adapter so the algebra code runs on SparsePoly scalars."""
 
-    kind = "exact"
     # SparsePoly scalars have no arithmetic operators, so AlgebraElement
     # products take one ring call per term instead of a sum and a reduce
     reduce = None
 
     def __init__(self, p: int, n: int):
-        if not PrimeField(p).int64_safe:
+        if PrimeField(p).dtype is not np.int64:
             raise ValueError("formal expansion requires an int64-safe prime")
         self.p = p
         self.n = n
@@ -273,23 +273,25 @@ def _raise_map(degree: int, var: int) -> np.ndarray:
 
 
 class RestrictionPlan(NamedTuple):
-    """Prefix tree of the gradient's terms, independent of the chart.
+    """Cubic prefix tree of the gradient's terms, independent of the chart.
 
     Every term of a quintic partial is a sorted multiset of five variable
-    indices.  Level k (k = 1..5) holds the distinct length-k prefixes:
+    indices.  Level k (k = 1..3) holds the distinct length-k prefixes:
     parent[k-1][s] is the level-(k-1) slot of prefix s with its last index
     dropped, last[k-1][s] is that last index.  terms has one row per term,
-    (partial, level-5 slot, coefficient), grouped by partial.
+    (partial, level-3 slot, coefficient), grouped by partial; tails holds
+    the term's fourth and fifth indices.
     """
 
     parent: tuple
     last: tuple
     terms: np.ndarray
+    tails: np.ndarray
     n_partials: int
 
 
 def restriction_plan(partials: list) -> RestrictionPlan:
-    """The prefix tree of the partials' terms; every term must have degree 5."""
+    """The restriction plan of the partials' terms; every term must have degree 5."""
     owner, exps, coeffs = [], [], []
     for i, part in enumerate(partials):
         owner += [i] * len(part)
@@ -307,14 +309,14 @@ def restriction_plan(partials: list) -> RestrictionPlan:
     parent, last = [], []
     key = np.zeros(len(exps), dtype=np.int64)     # prefix as base-n digits
     slot = np.zeros(len(exps), dtype=np.int64)    # level 0: the empty prefix
-    for k in range(5):
+    for k in range(3):
         key = key * n + multisets[:, k]
         _, first, slot_k = np.unique(key, return_index=True, return_inverse=True)
         parent.append(slot[first])
         last.append(multisets[first, k])
         slot = slot_k
     terms = np.column_stack([owner, slot, coeffs]).astype(np.int64)
-    return RestrictionPlan(tuple(parent), tuple(last), terms, len(partials))
+    return RestrictionPlan(tuple(parent), tuple(last), terms, multisets[:, 3:], len(partials))
 
 
 def _raise_level(prev: np.ndarray, coef: np.ndarray, degree: int, p: int) -> np.ndarray:
@@ -363,9 +365,8 @@ def _restrict(plan: RestrictionPlan, m: np.ndarray, p: int) -> np.ndarray:
     for k in range(3):
         level = _raise_level(level[:, plan.parent[k]], m[plan.last[k]].T, k + 1, p)
     owner, slot, coeff = plan.terms.T
-    node4 = plan.parent[4][slot]
-    cubic = level.T[plan.parent[3][node4]]
-    quad = _quadratics(m, p)[plan.last[3][node4], plan.last[4][slot]] * coeff[:, None] % p
+    cubic = level.T[slot]
+    quad = _quadratics(m, p)[plan.tails[:, 0], plan.tails[:, 1]] * coeff[:, None] % p
     field = PrimeField(p)
     table = _product_slots()
     bounds = np.searchsorted(owner, np.arange(plan.n_partials + 1))

@@ -74,15 +74,9 @@ def left_basis_matrices(level: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def right_basis_matrices(level: int) -> np.ndarray:
-    """Stack of matrices R_{e_i}; R_x y = coords(y x)."""
-    n = 1 << level
-    tab = mult_table(level)
-    out = np.zeros((n, n, n), dtype=np.int64)
-    for i in range(n):
-        for c in range(n):
-            s, k = tab[c][i]
-            out[i, k, c] = s
-    return out
+    """Stack of matrices R_{e_i}; R_x y = coords(y x).  Column c of R_{e_i}
+    is e_c e_i, column i of L_{e_c}."""
+    return np.ascontiguousarray(left_basis_matrices(level).transpose(2, 1, 0))
 
 
 @lru_cache(maxsize=None)
@@ -105,26 +99,17 @@ def left_table_symbolic(level: int = 3) -> list[list[int]]:
     Entry (r, c) = s*(i+1) means the matrix of left multiplication by
     x = sum x_i e_i has s * x_{i+1} in that position.
     """
-    n = 1 << level
-    tab = mult_table(level)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for c in range(n):
-            s, k = tab[i][c]
-            out[k][c] = s * (i + 1)
-    return out
+    return _symbolic(left_basis_matrices(level))
 
 
 def right_table_symbolic(level: int = 3) -> list[list[int]]:
     """Right multiplication table in the same signed-index encoding."""
-    n = 1 << level
-    tab = mult_table(level)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for c in range(n):
-            s, k = tab[c][i]
-            out[k][c] = s * (i + 1)
-    return out
+    return _symbolic(right_basis_matrices(level))
+
+
+def _symbolic(stack: np.ndarray) -> list[list[int]]:
+    # exactly one basis matrix is nonzero at each entry
+    return np.tensordot(np.arange(1, len(stack) + 1), stack, axes=(0, 0)).tolist()
 
 
 @dataclass(frozen=True)
@@ -277,11 +262,7 @@ def right_mult_matrix(x: AlgebraElement) -> np.ndarray:
 def _mult_matrix(x: AlgebraElement, right: bool) -> np.ndarray:
     r = x.ring
     stack = right_basis_matrices(x.level) if right else left_basis_matrices(x.level)
-    if r.kind == "approx":
-        vec = np.array(x.coords, dtype=np.complex128)
-        return np.tensordot(vec, stack.astype(np.complex128), axes=(0, 0))
-    vec = np.array(x.coords, dtype=np.int64 if r.int64_safe else object)
-    return np.tensordot(vec, stack, axes=(0, 0)) % r.p
+    return r.reduce(np.tensordot(r.array(x.coords), stack, axes=(0, 0)))
 
 
 def associator(c: AlgebraElement, b: AlgebraElement, a: AlgebraElement) -> AlgebraElement:
@@ -294,7 +275,7 @@ def phi(c: AlgebraElement, b: AlgebraElement, a: AlgebraElement):
     r = c.ring
     bb = b.conjugate()
     comm = c * bb - bb * c
-    half = r.inv(r.from_int(2)) if r.kind != "approx" else 0.5
+    half = r.inv(r.from_int(2))
     return r.mul(half, (comm * a).real_part())
 
 

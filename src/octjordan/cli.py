@@ -85,12 +85,17 @@ def _checked_count(value: int, flag: str, minimum: int = 0) -> int:
     return value
 
 
-def _load_json(path: str) -> dict:
+def _load_point(ring, path: str):
+    """The triple in a JSON point file, decoded by the ring."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            d = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}")
+    try:
+        return jordan.triple_from_json(ring, d)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise UsageError(f"malformed input point: {exc}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -195,11 +200,7 @@ def _cmd_strata(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    ring = ComplexField()
-    try:
-        triple = jordan.triple_from_json(ring, _load_json(args.input))
-    except (KeyError, ValueError, TypeError) as exc:
-        raise UsageError(f"malformed input point: {exc}")
+    triple = _load_point(ComplexField(), args.input)
     try:
         word = reduction.reduce_to_identity(triple, tol=args.tol,
                                             seed=_seed_from(args))
@@ -218,13 +219,10 @@ def _cmd_eval(args) -> int:
         ring = PrimeField(_checked_prime(args.prime))
     else:
         ring = ComplexField(tol=args.tol)
-    try:
-        triple = jordan.triple_from_json(ring, _load_json(args.input))
-    except (KeyError, ValueError, TypeError) as exc:
-        raise UsageError(f"malformed input point: {exc}")
+    triple = _load_point(ring, args.input)
     value = _INVARIANTS[args.invariant](triple)
     emit_report({"invariant": args.invariant,
-                 "value": jordan.encode_scalar(ring, value)}, args.out)
+                 "value": ring.encode(value)}, args.out)
     return EXIT_OK
 
 

@@ -1,18 +1,30 @@
 """Coefficient rings for the algebra stack.
 
-Two concrete rings are used throughout: a prime field F_p for exact
-randomized identity testing, and double-precision complex numbers for the
-numeric geometry (degeneracy sampling, orbit reduction).  Both expose the
-same small operation set (add, sub, mul, neg, inv, sqrt, random, ...) so
-that the composition-algebra and Jordan-algebra code is ring-agnostic; the
-formal-expansion ring in :mod:`octjordan.autdim` implements the same
-contract with sparse polynomials as scalars.
+Two fields are used throughout: F_p for exact randomized identity testing
+and double-precision complex numbers for the numeric geometry.  Every
+decision that depends on how a field represents its scalars is made here,
+so the algebra, Jordan, symmetry and linear-algebra code never branches on
+the field.  Both fields provide:
 
-Both fields also provide `reduce`, which maps a value computed with Python
-or numpy operators on ring scalars (a sum of products, say) back to a ring
-scalar: `% p` over F_p, the identity over C.  Hot loops accumulate with
-operators and reduce once per result instead of calling add/mul per term.
-The polynomial ring sets it to None, because its scalars have no operators.
+- the scalar operations zero, one, from_int, add, sub, mul, neg, inv, div,
+  eq, sqrt (None for a non-residue) and random(rng);
+- dtype, the numpy dtype of field arrays: int64 at every prime up to
+  INT64_SAFE_MODULUS, object (Python ints) past it, complex128 over C; and
+  array(x), x as such an array, reduced mod p;
+- reduce(a), which maps a value computed with Python or numpy operators on
+  scalars or arrays back to the field: `% p` over F_p, the identity over
+  C.  Hot loops accumulate with operators and reduce once per result;
+- is_zero(a, scale): exact over F_p, which ignores the scale;
+  |a| <= tol * max(1, scale) over C, where magnitude(arr), the squared
+  norm of an array, is the scale of a quadratic form on it;
+- encode(s) / decode(v), the JSON scalar: a decimal string from a decimal
+  string or integer over F_p, [re, im] from two finite numbers over C.
+  decode raises ValueError on bools, floats as residues and non-finite
+  parts.
+
+autdim.PolyRing has the scalar operations on sparse polynomials but no
+dtype, array, div, magnitude or JSON form, and sets reduce = None because its
+scalars have no operators (the algebra code then calls the ring per term).
 """
 
 from __future__ import annotations
@@ -20,6 +32,8 @@ from __future__ import annotations
 import cmath
 import hashlib
 import random
+
+import numpy as np
 
 # deterministic Miller-Rabin witnesses, valid for all n < 3.3e24
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -66,8 +80,6 @@ def derive_rng(seed: int, *path) -> random.Random:
 class PrimeField:
     """Arithmetic in Z/p for an odd prime p.  Elements are ints in [0, p)."""
 
-    kind = "exact"
-
     def __init__(self, p: int):
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
@@ -76,6 +88,7 @@ class PrimeField:
         self.p = p
         self.zero = 0
         self.one = 1
+        self.dtype = np.int64 if p <= INT64_SAFE_MODULUS else object
 
     def __repr__(self):
         return f"PrimeField({self.p})"
@@ -107,8 +120,25 @@ class PrimeField:
     def inv(self, a):
         return pow(a, -1, self.p)
 
-    def is_zero(self, a) -> bool:
+    def div(self, a, b):
+        return a * pow(b, -1, self.p) % self.p
+
+    def is_zero(self, a, scale: float = 1.0) -> bool:
         return a % self.p == 0
+
+    def magnitude(self, arr) -> float:
+        return 1.0
+
+    def array(self, x) -> np.ndarray:
+        return np.array(x, dtype=self.dtype) % self.p
+
+    def encode(self, s) -> str:
+        return str(int(s))
+
+    def decode(self, v) -> int:
+        if isinstance(v, (bool, float)):
+            raise ValueError(f"a residue is a decimal string or an integer, got {v!r}")
+        return int(v) % self.p
 
     def eq(self, a, b) -> bool:
         return (a - b) % self.p == 0
@@ -145,15 +175,11 @@ class PrimeField:
             t, r = t * c % p, r * b % p
         return r
 
-    @property
-    def int64_safe(self) -> bool:
-        return self.p <= INT64_SAFE_MODULUS
-
 
 class ComplexField:
     """Double-precision complex scalars with a relative comparison tolerance."""
 
-    kind = "approx"
+    dtype = np.complex128
 
     def __init__(self, tol: float = 1e-9):
         self.tol = tol
@@ -190,8 +216,29 @@ class ComplexField:
     def inv(self, a):
         return 1 / a
 
+    def div(self, a, b):
+        return a / b
+
     def is_zero(self, a, scale: float = 1.0) -> bool:
         return abs(a) <= self.tol * max(1.0, scale)
+
+    def magnitude(self, arr) -> float:
+        return float(np.linalg.norm(arr)) ** 2
+
+    def array(self, x) -> np.ndarray:
+        return np.array(x, dtype=np.complex128)
+
+    def encode(self, s) -> list:
+        return [s.real, s.imag]
+
+    def decode(self, v) -> complex:
+        re, im = v
+        if isinstance(re, bool) or isinstance(im, bool):
+            raise ValueError(f"a complex coordinate is two numbers, got {v!r}")
+        z = complex(re, im)
+        if not cmath.isfinite(z):
+            raise ValueError(f"non-finite complex coordinate {v!r}")
+        return z
 
     def eq(self, a, b) -> bool:
         return abs(a - b) <= self.tol * max(1.0, abs(a), abs(b))

@@ -29,7 +29,6 @@ import numpy as np
 
 from . import cayley
 from .cayley import AlgebraElement
-from .coeffs import ComplexField
 
 
 @dataclass(frozen=True)
@@ -224,39 +223,23 @@ def full_matmul(x: list, y: list) -> list:
     return out
 
 
-# JSON interchange: prime-field scalars as decimal strings, complex as [re, im]
-
-def encode_scalar(ring, s):
-    if isinstance(ring, ComplexField):
-        return [s.real, s.imag]
-    return str(int(s))
-
-
-def decode_scalar(ring, v):
-    if isinstance(ring, ComplexField):
-        re, im = v
-        return complex(re, im)
-    return int(v) % ring.p
-
+# JSON interchange through ring.encode / ring.decode: prime-field scalars as
+# decimal strings, complex as [re, im]
 
 def triple_to_json(t: HermitianTriple) -> dict:
-    enc = lambda x: [encode_scalar(t.ring, s) for s in x.coords]
-    return {"level": t.level,
-            "lambda": [encode_scalar(t.ring, s) for s in t.lambdas],
-            "a": enc(t.a), "b": enc(t.b), "c": enc(t.c)}
+    enc = lambda scalars: [t.ring.encode(s) for s in scalars]
+    return {"level": t.level, "lambda": enc(t.lambdas),
+            "a": enc(t.a.coords), "b": enc(t.b.coords), "c": enc(t.c.coords)}
 
 
 def triple_from_json(ring, d: dict) -> HermitianTriple:
     level = int(d["level"])
-    n = 1 << level
-    def dec_el(key):
+
+    def dec(key, n):
         vals = d[key]
         if len(vals) != n:
-            raise ValueError(f"{key} must have {n} coordinates at level {level}")
-        return AlgebraElement(ring, level, tuple(decode_scalar(ring, v) for v in vals))
-    lams = d["lambda"]
-    if len(lams) != 3:
-        raise ValueError("lambda must have three entries")
-    return HermitianTriple(ring, level,
-                           tuple(decode_scalar(ring, v) for v in lams),
-                           dec_el("a"), dec_el("b"), dec_el("c"))
+            raise ValueError(f"{key} must have {n} entries at level {level}")
+        return tuple(ring.decode(v) for v in vals)
+
+    el = lambda key: AlgebraElement(ring, level, dec(key, 1 << level))
+    return HermitianTriple(ring, level, dec("lambda", 3), el("a"), el("b"), el("c"))

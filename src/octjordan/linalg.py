@@ -1,14 +1,18 @@
 """Dense linear algebra over prime fields and over complex floats.
 
-Field matrices are numpy arrays of int64 residues at every prime up to
-coeffs.INT64_SAFE_MODULUS, and of Python ints (object dtype) past it; all
-elimination steps reduce mod p immediately after each scalar product, and
-products whose sums could pass 2^63 split the left factor into 16-bit limbs
-(see matmul), so no intermediate overflows.  rank and det eliminate by
-forward elimination (only the rows below each pivot); nullspace and solve
-read the reduced row echelon form.  Complex matrices are complex128 and
-the rank/nullspace decisions go through singular values with a tolerance
-relative to the largest one.
+Matrices are numpy arrays of the ring's dtype (coeffs: int64 residues at
+every prime up to coeffs.INT64_SAFE_MODULUS, Python ints past it,
+complex128 over C), built with ring.array and reduced with ring.reduce.
+Only the algorithms themselves dispatch on the field: matmul, det, rank,
+nullspace, solve and inv.  Over F_p every elimination step reduces mod p
+immediately after each scalar product, and products whose sums could pass
+2^63 split the left factor into 16-bit limbs (see matmul), so no
+intermediate overflows.  rank and det eliminate by forward elimination
+(only the rows below each pivot); nullspace and solve read the reduced row
+echelon form.  Over C, rank and nullspace decide through singular values
+with a tolerance relative to the largest one, and a singular inverse
+raises SingularMatrixError as over F_p.  The constructions built on these
+(eye, random_skew, Cayley maps, reflection pairs) run unchanged on both.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import random
 
 import numpy as np
 
-from .coeffs import ComplexField, PrimeField
+from .coeffs import ComplexField
 
 DEFAULT_RANK_TOL = 1e-8
 
@@ -40,15 +44,8 @@ def _limb_safe(p: int, n: int) -> bool:
     return p < 1 << 32 and (n + 1) * (p - 1) << 16 < (1 << 63) - 1
 
 
-def field_array(ring: PrimeField, rows) -> np.ndarray:
-    dtype = np.int64 if ring.int64_safe else object
-    return np.array(rows, dtype=dtype) % ring.p
-
-
 def eye(ring, n: int) -> np.ndarray:
-    if isinstance(ring, ComplexField):
-        return np.eye(n, dtype=np.complex128)
-    return field_array(ring, np.eye(n, dtype=np.int64))
+    return ring.array(np.eye(n, dtype=np.int64))
 
 
 def matmul(ring, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -73,9 +70,7 @@ def matmul(ring, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if _limb_safe(p, k):
             return ((a >> 16) @ b % p * (1 << 16) + (a & 0xFFFF) @ b) % p
     out = (a.astype(object) @ b.astype(object)) % p
-    if ring.int64_safe:
-        return out.astype(np.int64)
-    return out
+    return out if ring.dtype is object else out.astype(ring.dtype)
 
 
 def _echelon(p: int, a: np.ndarray, reduced: bool = True):
@@ -122,9 +117,7 @@ def det(ring, a: np.ndarray):
     if isinstance(ring, ComplexField):
         return complex(np.linalg.det(a))
     _, pivcols, detf = _echelon(ring.p, a, reduced=False)
-    if len(pivcols) < a.shape[0]:
-        return 0
-    return detf
+    return detf if len(pivcols) == a.shape[0] else 0
 
 
 def rank(ring, a: np.ndarray, tol: float | None = None) -> int:
@@ -173,17 +166,18 @@ def solve(ring, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def inv(ring, a: np.ndarray) -> np.ndarray:
+    """Inverse of a square matrix; SingularMatrixError when there is none."""
     if isinstance(ring, ComplexField):
-        return np.linalg.inv(a)
+        try:
+            return np.linalg.inv(a)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrixError("singular matrix") from exc
     return solve(ring, a, eye(ring, a.shape[0]))
 
 
 def random_skew(ring, n: int, rng: random.Random, fix_first: bool = False) -> np.ndarray:
     """Random skew-symmetric matrix; with fix_first, row/col 1 are zero."""
-    if isinstance(ring, ComplexField):
-        s = np.zeros((n, n), dtype=np.complex128)
-    else:
-        s = np.zeros((n, n), dtype=np.int64 if ring.int64_safe else object)
+    s = np.zeros((n, n), dtype=ring.dtype)
     start = 1 if fix_first else 0
     for i in range(start, n):
         for j in range(i + 1, n):
@@ -199,36 +193,19 @@ def cayley_orthogonal(ring, skew: np.ndarray) -> np.ndarray:
     Fixes e_1 whenever row/col 1 of S vanish.  Raises SingularMatrixError
     when I + S is singular (resample the skew matrix).
     """
-    n = skew.shape[0]
-    idn = eye(ring, n)
-    if isinstance(ring, ComplexField):
-        try:
-            rightinv = np.linalg.inv(idn + skew)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError("I + S singular") from exc
-        return (idn - skew) @ rightinv
-    rightinv = solve(ring, (idn + skew) % ring.p, idn)
-    return matmul(ring, (idn - skew) % ring.p, rightinv)
+    idn = eye(ring, skew.shape[0])
+    return matmul(ring, ring.reduce(idn - skew), inv(ring, ring.reduce(idn + skew)))
 
 
-def _bil(ring, u, v):
-    if isinstance(ring, ComplexField):
-        return complex(np.dot(u, v))
-    acc = 0
-    for a, b in zip(u.tolist(), v.tolist()):
-        acc += int(a) * int(b)
-    return acc % ring.p
+def _form(ring, x: np.ndarray, y: np.ndarray):
+    """The bilinear form B(x, y) = sum_i x_i y_i as a Python ring scalar."""
+    return matmul(ring, x[None], y[:, None]).item()
 
 
 def _reflect_matrix(ring, w: np.ndarray) -> np.ndarray:
     """Hyperplane reflection x -> x - 2 B(x,w)/B(w,w) w."""
-    q = _bil(ring, w, w)
-    n = w.shape[0]
-    if isinstance(ring, ComplexField):
-        return np.eye(n, dtype=np.complex128) - (2.0 / q) * np.outer(w, w)
-    p = ring.p
-    f = 2 * pow(int(q), -1, p) % p
-    return (eye(ring, n) - f * (np.outer(w, w) % p)) % p
+    f = ring.div(ring.from_int(2), _form(ring, w, w))
+    return ring.reduce(eye(ring, w.shape[0]) - f * ring.reduce(np.outer(w, w)))
 
 
 def reflection_pair(ring, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -236,41 +213,36 @@ def reflection_pair(ring, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     Determinant 1; fixes e_1 when u and v are supported away from the first
     coordinate.  Needs B(u,u), B(v,v) nonzero and, over F_p, a square root
-    of their ratio; failures raise IsotropicVectorError (resample).
+    of their ratio; failures raise IsotropicVectorError (resample).  Zero
+    tests over C are relative to |u|^2 (|v|^2 for B(v,v)).
     """
-    qu = _bil(ring, u, u)
-    qv = _bil(ring, v, v)
-    approx = isinstance(ring, ComplexField)
-    scale_u = float(np.linalg.norm(u)) ** 2 if approx else 1.0
-    scale_v = float(np.linalg.norm(v)) ** 2 if approx else 1.0
-    if (ring.is_zero(qu, scale_u) if approx else ring.is_zero(qu)):
+    qu = _form(ring, u, u)
+    qv = _form(ring, v, v)
+    scale = ring.magnitude(u)
+    if ring.is_zero(qu, scale):
         raise IsotropicVectorError("B(u,u) = 0")
-    if (ring.is_zero(qv, scale_v) if approx else ring.is_zero(qv)):
+    if ring.is_zero(qv, ring.magnitude(v)):
         raise IsotropicVectorError("B(v,v) = 0")
-    ratio = ring.mul(qu, ring.inv(qv))
-    s = ring.sqrt(ratio)
+    s = ring.sqrt(ring.mul(qu, ring.inv(qv)))
     if s is None:
         raise IsotropicVectorError("norm ratio is not a square in F_p")
-    v2 = np.array([ring.mul(s, x) for x in v.tolist()], dtype=u.dtype)
-    wplus = np.array([ring.add(a, b) for a, b in zip(u.tolist(), v2.tolist())], dtype=u.dtype)
-    qw = _bil(ring, wplus, wplus)
-    nz = (not ring.is_zero(qw, scale_u)) if approx else qw != 0
-    if nz:
+    v2 = ring.array([ring.mul(s, x) for x in v.tolist()])
+    wplus = ring.reduce(u + v2)
+    if not ring.is_zero(_form(ring, wplus, wplus), scale):
         # R_w(u) = -v2, then R_{v2} flips it back: u -> v2
         return matmul(ring, _reflect_matrix(ring, v2), _reflect_matrix(ring, wplus))
     # fallback: R_{u - v2}(u) = v2, then a reflection fixing v2
-    wminus = np.array([ring.sub(a, b) for a, b in zip(u.tolist(), v2.tolist())], dtype=u.dtype)
-    if (ring.is_zero(_bil(ring, wminus, wminus), scale_u) if approx
-            else _bil(ring, wminus, wminus) == 0):
+    wminus = ring.reduce(u - v2)
+    if ring.is_zero(_form(ring, wminus, wminus), scale):
         raise IsotropicVectorError("both reflection vectors isotropic")
     n = u.shape[0]
+    idn = eye(ring, n)
     # prefer axes away from coordinate 0 so e_1 stays fixed for imaginary data
     for i in list(range(1, n)) + [0]:
-        e = np.zeros(n, dtype=u.dtype)
-        e[i] = ring.one
-        w2 = np.array([ring.sub(ring.mul(qu, a), ring.mul(_bil(ring, e, v2), b))
-                       for a, b in zip(e.tolist(), v2.tolist())], dtype=u.dtype)
-        q2 = _bil(ring, w2, w2)
-        if (not ring.is_zero(q2, scale_u)) if approx else q2 != 0:
+        e = idn[i]
+        bev = _form(ring, e, v2)
+        w2 = ring.array([ring.sub(ring.mul(qu, a), ring.mul(bev, b))
+                         for a, b in zip(e.tolist(), v2.tolist())])
+        if not ring.is_zero(_form(ring, w2, w2), scale):
             return matmul(ring, _reflect_matrix(ring, w2), _reflect_matrix(ring, wminus))
     raise IsotropicVectorError("no non-isotropic axis found for the second reflection")

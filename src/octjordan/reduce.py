@@ -78,11 +78,8 @@ class TransformWord:
         self.intermediates.append(list(state.flatten()))
 
     def to_json_dict(self) -> dict:
-        def c2(z):
-            return [z.real, z.imag]
-
         def mat(m):
-            return [[c2(complex(v)) for v in row] for row in np.asarray(m)]
+            return [[_RING.encode(complex(v)) for v in row] for row in np.asarray(m)]
 
         moves = []
         for (kind, payload), label in zip(self.moves, self.steps):
@@ -92,11 +89,11 @@ class TransformWord:
             else:
                 moves.append({"kind": "congruence", "step": label,
                               "h": mat(payload),
-                              "det": c2(complex(np.linalg.det(payload)))})
+                              "det": _RING.encode(complex(np.linalg.det(payload)))})
         return {
             "moves": moves,
-            "scale": c2(self.scale),
-            "intermediates": [[c2(z) for z in s] for s in self.intermediates],
+            "scale": _RING.encode(self.scale),
+            "intermediates": [[_RING.encode(z) for z in s] for s in self.intermediates],
             "residual": self.residual,
             "solver": [{"step": label, "iterations": rec.iterations,
                         "restarts": rec.restarts, "residual": rec.residual}
@@ -329,18 +326,12 @@ def symmetric_congruence_to_identity(s: np.ndarray, tol: float = 1e-9) -> np.nda
         piv = k + int(np.argmax(np.abs(np.diag(work)[k:])))
         if abs(work[piv, piv]) <= 1e-12 * scale:
             # all remaining diagonal entries vanish; bring in an off-diagonal
-            found = False
-            for i in range(k, 3):
-                for j in range(i + 1, 3):
-                    if abs(work[i, j]) > 1e-12 * scale:
-                        e = np.eye(3, dtype=complex)
-                        e[j, i] = 1  # col_i += col_j turns 2 S_ij into a diagonal pivot
-                        work = e.T @ work @ e
-                        h = h @ e
-                        found = True
-                        break
-                if found:
-                    break
+            pair = next(((i, j) for i in range(k, 3) for j in range(i + 1, 3)
+                         if abs(work[i, j]) > 1e-12 * scale), None)
+            if pair is not None:
+                e = _elementary(pair[1], pair[0], 1)  # col_i += col_j: 2 S_ij on the diagonal
+                work = e.T @ work @ e
+                h = h @ e
             piv = k + int(np.argmax(np.abs(np.diag(work)[k:])))
         if piv != k:
             perm = np.eye(3, dtype=complex)
@@ -426,8 +417,7 @@ def reduce_to_identity(t: HermitianTriple, tol: float = 1e-6,
     h = symmetric_congruence_to_identity(smat)
     if abs(np.linalg.det(h) + 1) < 0.5:  # det -1: flip a column to land in SL3
         h = h @ np.diag([-1, 1, 1]).astype(complex)
-    state = sl3_act(_RING, h, state)
-    word.record("final congruence", ("congruence", h), state)
+    state = _congruence(word, "final congruence", h, state)
     word.residual = distance_to_identity(state)
     if word.residual > tol:
         raise NonGenericInput("final state",
@@ -438,6 +428,11 @@ def reduce_to_identity(t: HermitianTriple, tol: float = 1e-6,
 def _apply_and_record(word: TransformWord, label: str, move, state) -> HermitianTriple:
     word.record(label, move, state)
     return state
+
+
+def _congruence(word: TransformWord, label: str, h: np.ndarray,
+                state: HermitianTriple) -> HermitianTriple:
+    return _apply_and_record(word, label, ("congruence", h), sl3_act(_RING, h, state))
 
 
 def _solve_and_record(word: TransformWord, label: str, state: HermitianTriple,
@@ -477,23 +472,17 @@ def _offdiagonal_pipeline(state: HermitianTriple, word: TransformWord,
 
     # step 2: congruence making the two quaternion halves of a orthogonal
     q = complex(a0 @ a1) / pairing
-    h = _elementary(0, 2, -q)
-    state = sl3_act(_RING, h, state)
-    state = _apply_and_record(word, "orthogonalize a halves", ("congruence", h), state)
-    sc = _norm(state)
+    state = _congruence(word, "orthogonalize a halves", _elementary(0, 2, -q), state)
 
     # step 3: steer c to span(1, n) while T1 puts a into span(i, n)
     state = _solve_and_record(word, "pair-steer c to n, a to (i,n)", state, rng,
                               steer=(1, 6), span_w=state.a, span_allowed=(1, 6))
     sc = _norm(state)
     r2 = _guard("pair-steer", "r2 = n-part of c", _coord(state, "c", 6), sc)
-    r3 = _coord(state, "a", 1)
     r4 = _coord(state, "a", 6)
 
     # step 4: congruence killing the n-component of a
-    h = _elementary(0, 2, r4 / r2)
-    state = sl3_act(_RING, h, state)
-    state = _apply_and_record(word, "kill n-part of a", ("congruence", h), state)
+    state = _congruence(word, "kill n-part of a", _elementary(0, 2, r4 / r2), state)
     sc = _norm(state)
     r3 = _guard("kill n-part of a", "r3 = i-part of a", _coord(state, "a", 1), sc)
 
@@ -505,9 +494,7 @@ def _offdiagonal_pipeline(state: HermitianTriple, word: TransformWord,
     r3 = _guard("steer c back", "r3 = i-part of a", _coord(state, "a", 1), sc)
 
     # step 6: congruence making c real
-    h = _elementary(2, 0, r2 / r3)
-    state = sl3_act(_RING, h, state)
-    state = _apply_and_record(word, "make c real", ("congruence", h), state)
+    state = _congruence(word, "make c real", _elementary(2, 0, r2 / r3), state)
     sc = _norm(state)
     if max(abs(z) for z in state.c.coords[1:]) > 1e-6 * sc:
         raise NonGenericInput("make c real", "imaginary residue of c")
@@ -521,18 +508,14 @@ def _offdiagonal_pipeline(state: HermitianTriple, word: TransformWord,
     _guard("scalarize a", "lambda2", state.lambdas[1], sc)
 
     # step 8: kill c, then a, then push the octonion in b to the c slot
-    h = _elementary(2, 0, -r6 / r7)
-    state = sl3_act(_RING, h, state)
-    state = _apply_and_record(word, "kill c", ("congruence", h), state)
+    state = _congruence(word, "kill c", _elementary(2, 0, -r6 / r7), state)
     # divided as numpy complex scalars (a reciprocal-scaled Smith quotient,
     # which rounds differently from Python's complex division), so the
     # recorded word does not depend on the scalar type of the state
     h = _elementary(1, 2, -np.complex128(_coord(state, "a", 0)) / state.lambdas[1])
-    state = sl3_act(_RING, h, state)
-    state = _apply_and_record(word, "kill a", ("congruence", h), state)
+    state = _congruence(word, "kill a", h, state)
     h = np.array([[-1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex)
-    state = sl3_act(_RING, h, state)
-    state = _apply_and_record(word, "swap b into the c slot", ("congruence", h), state)
+    state = _congruence(word, "swap b into the c slot", h, state)
 
     # step 9: rotate the remaining octonion into span(1, i)
     trip, state = move_c_to_plane(state, target=1)
@@ -540,8 +523,7 @@ def _offdiagonal_pipeline(state: HermitianTriple, word: TransformWord,
 
     # step 10: permute it into the a slot
     h = np.array([[0, 0, 1], [0, -1, 0], [1, 0, 0]], dtype=complex)
-    state = sl3_act(_RING, h, state)
-    state = _apply_and_record(word, "swap into the a slot", ("congruence", h), state)
+    state = _congruence(word, "swap into the a slot", h, state)
 
     # step 11: T1 scalarizes the last octonion
     sc = _norm(state)

@@ -43,8 +43,7 @@ class NonResidueError(LiftError):
 
 
 def apply_matrix(ring, m: np.ndarray, x: AlgebraElement) -> AlgebraElement:
-    vec = np.array(x.coords, dtype=m.dtype if m.dtype != object else object)
-    out = linalg.matmul(ring, m, vec)
+    out = linalg.matmul(ring, m, ring.array(x.coords))
     return AlgebraElement(ring, x.level, tuple(out.tolist()))
 
 
@@ -54,10 +53,12 @@ _INDEX = np.array([[k for _, k in row] for row in cayley.mult_table(3)])
 
 
 def _column_mult_stack(ring, m: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """Multiplication matrices by the columns of m: entry j is sum_i m[i, j] stack[i]."""
-    if isinstance(ring, ComplexField):
-        return np.einsum("ij,ikl->jkl", m.astype(np.complex128), stack.astype(np.complex128))
-    return np.tensordot(m, stack, axes=(0, 0)) % ring.p
+    """Multiplication matrices by the columns of m: entry j is sum_i m[i, j] stack[i].
+
+    The stack is the +-1 basis stack, left unreduced: each sum has one
+    nonzero term, so the int64 sums cannot overflow and the complex ones
+    are exact."""
+    return ring.reduce(np.tensordot(m, stack, axes=(0, 0)))
 
 
 def _pair_defect(ring, a: np.ndarray, b: np.ndarray, c: np.ndarray):
@@ -146,8 +147,7 @@ def _first_column_system(ring, m: np.ndarray, side: str) -> np.ndarray:
         prods = linalg.matmul(ring, byc[None], byc[:, None])
     else:
         prods = linalg.matmul(ring, byc[:, None], byc[None])
-    system = (_SIGN[:, :, None, None] * byc[_INDEX] - prods).reshape(512, 8)
-    return system if isinstance(ring, ComplexField) else system % ring.p
+    return ring.reduce((_SIGN[:, :, None, None] * byc[_INDEX] - prods).reshape(512, 8))
 
 
 def _first_column_companion(ring, m: np.ndarray, side: str) -> np.ndarray:
@@ -158,7 +158,7 @@ def _first_column_companion(ring, m: np.ndarray, side: str) -> np.ndarray:
     root.
     """
     system = _first_column_system(ring, m, side)
-    ker = linalg.nullspace(ring, system, tol=1e-9 if isinstance(ring, ComplexField) else None)
+    ker = linalg.nullspace(ring, system, tol=1e-9)
     if ker.shape[1] != 1:
         raise LiftError(f"{side} companion: solution dimension {ker.shape[1]}, "
                         "the input is not in the SO7 image")
@@ -193,8 +193,7 @@ def lift_right_companion(ring, t2: np.ndarray) -> TrialityTriple:
 
     The first-column lift followed by the triality_defect certificate.
     """
-    if not isinstance(ring, ComplexField):
-        t2 = t2 % ring.p
+    t2 = ring.reduce(t2)
     return TrialityTriple(ring, _first_column_companion(ring, t2, "right"), t2).certified()
 
 
@@ -214,9 +213,7 @@ def kappa(ring, t: np.ndarray) -> np.ndarray:
     """K_T(x) = conj(T(conj(x))), i.e. C T C with C = diag(1,-1,..,-1)."""
     sign = np.ones(8, dtype=np.int64)
     sign[1:] = -1
-    if isinstance(ring, ComplexField):
-        return t * np.outer(sign, sign)
-    return (t * np.outer(sign, sign)) % ring.p
+    return ring.reduce(t * np.outer(sign, sign))
 
 
 def spin7_act(t: TrialityTriple, a: HermitianTriple) -> HermitianTriple:

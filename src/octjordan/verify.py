@@ -209,7 +209,7 @@ def _nonsingular(ring, draw):
     """(H, det H) for the first draw with det H != 0; a singular congruence
     would leave the covariance checks with nothing to test."""
     while True:
-        h = linalg.field_array(ring, draw())
+        h = ring.array(draw())
         dh = linalg.det(ring, h)
         if dh:
             return h, dh
@@ -275,9 +275,7 @@ def multiplicity_defect(a: AlgebraElement, b: AlgebraElement, c: AlgebraElement)
     prod = linalg.matmul(ring, linalg.matmul(ring, la, lb), rc)
     op = prod + prod.T
     shift = (c.conjugate() * (b * a)).real_part()
-    op = op - (shift + shift) * np.eye(8, dtype=np.int64)
-    if isinstance(ring, PrimeField):
-        op = op % ring.p
+    op = ring.reduce(op - (shift + shift) * np.eye(8, dtype=np.int64))
     return linalg.rank(ring, op)
 
 

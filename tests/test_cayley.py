@@ -10,7 +10,7 @@ from octjordan.cayley import (AlgebraElement, associator, basis, bilinear,
                               phi, random_element, recompose,
                               right_mult_matrix, right_table_symbolic, split,
                               unit, zero)
-from octjordan.coeffs import ComplexField, PrimeField, derive_rng
+from octjordan.coeffs import INT64_SAFE_MODULUS, ComplexField, PrimeField, derive_rng
 
 P31 = 2**31 - 1
 F = PrimeField(P31)
@@ -122,7 +122,7 @@ def test_mult_matrices_are_residues(p):
     ring = PrimeField(p)
     x = random_element(ring, 3, derive_rng(0, "mats-res", p))
     for m in (left_mult_matrix(x), right_mult_matrix(x)):
-        assert m.dtype == (np.int64 if ring.int64_safe else object)
+        assert m.dtype == (np.int64 if p <= INT64_SAFE_MODULUS else object)
         assert all(0 <= v < p for v in m.ravel().tolist())
         assert m[:, 0].tolist() == list(x.coords)      # L_x e_1 = R_x e_1 = x
 

@@ -122,6 +122,37 @@ def test_eval_malformed_input(capsys, tmp_path):
     assert code == 2
 
 
+def test_eval_field_mode_rejects_bool_and_float_residues(capsys, tmp_path):
+    point = triple_to_json(identity_triple(PrimeField(29), 3))
+    path = tmp_path / "point.json"
+    for lams in ([True, 2.7, "3"], [True, 2, 3], [1, 2.0, 3]):
+        point["lambda"] = lams
+        path.write_text(json.dumps(point))
+        code, out, err = run(capsys, "eval", "--invariant", "det_cartan",
+                             "--input", str(path), "--prime", "29")
+        assert code == 2 and out == ""
+        assert "malformed input point" in err
+    # decimal strings and JSON integers stay accepted
+    point["lambda"] = [1, "2", 3]
+    path.write_text(json.dumps(point))
+    code, out, _ = run(capsys, "eval", "--invariant", "det_cartan",
+                       "--input", str(path), "--prime", "29")
+    assert code == 0
+    assert json.loads(out)["value"] == "6"
+
+
+def test_non_finite_complex_point_is_malformed(capsys, tmp_path):
+    point = triple_to_json(random_generic_triple(random.Random(1)))
+    path = tmp_path / "point.json"
+    for bad in ([float("nan"), 0.0], [0.0, float("inf")]):
+        point["a"][2] = bad
+        path.write_text(json.dumps(point))
+        for argv in (["eval", "--invariant", "det_cartan"], ["reduce"]):
+            code, out, err = run(capsys, *argv, "--input", str(path))
+            assert code == 2 and out == ""
+            assert "malformed input point" in err
+
+
 def test_reduce_command(capsys, tmp_path):
     t = random_generic_triple(random.Random(1))
     path = tmp_path / "point.json"

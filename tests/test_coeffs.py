@@ -1,10 +1,19 @@
+import ast
+import math
 import random
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from octjordan.coeffs import ComplexField, PrimeField, derive_rng, is_prime
+import octjordan
+from octjordan import linalg
+from octjordan.coeffs import (INT64_SAFE_MODULUS, ComplexField, PrimeField,
+                              derive_rng, is_prime)
 
 P31 = 2**31 - 1
+P61 = 2**61 - 1
+INT64_TOP = 3_037_000_493   # the largest prime up to INT64_SAFE_MODULUS
 
 
 def test_is_prime_basics():
@@ -95,3 +104,114 @@ def test_complex_ring():
     # determinism contract
     assert [ComplexField().random(derive_rng(5, i)) for i in range(4)] == \
            [ComplexField().random(derive_rng(5, i)) for i in range(4)]
+
+
+@pytest.mark.parametrize("ring", [PrimeField(313), PrimeField(P31), PrimeField(INT64_TOP),
+                                  PrimeField(P61), ComplexField()], ids=repr)
+def test_ring_contract(ring):
+    if isinstance(ring, PrimeField):
+        p = ring.p
+        a = ring.array([[-1, p, 2 * p + 3], [p - 1, 0, -p - 2]])
+        assert a.dtype == (np.int64 if p <= INT64_SAFE_MODULUS else object)
+        assert a.tolist() == [[p - 1, 0, 3], [p - 1, 0, p - 2]]
+        # an entrywise product of residues reduces back to residues
+        assert ring.reduce(a * a).tolist() == [[1, 0, 9], [1, 0, 4]]
+        # zero tests are exact: the scale is ignored
+        assert ring.is_zero(p, 1e30) and not ring.is_zero(1, 1e30)
+        assert ring.magnitude(a) == 1.0
+        for s in (0, 1, p - 1):
+            assert ring.decode(ring.encode(s)) == s
+        assert ring.encode(p - 1) == str(p - 1)
+        assert ring.decode(-1) == p - 1 and ring.decode(str(p + 5)) == 5
+        for bad in (True, False, 2.7, 3.0, np.float64(1.0)):
+            with pytest.raises(ValueError):
+                ring.decode(bad)
+    else:
+        a = ring.array([[1, 2j], [-0.0, 3]])
+        assert a.dtype == np.complex128
+        assert a.tolist() == [[1, 2j], [0, 3]]
+        assert ring.reduce(a) is a
+        # zero tests are relative to max(1, scale)
+        assert ring.is_zero(1e-6, 1e4) and not ring.is_zero(1e-6)
+        assert ring.magnitude(np.array([3, 4j])) == 25.0
+        for s in (0j, 1.5 - 2j, complex(-0.0, 0.0), complex(1e300, -1e-300)):
+            back = ring.decode(ring.encode(s))
+            assert back == s
+            assert math.copysign(1, back.real) == math.copysign(1, s.real)
+        for bad in ([math.nan, 0], [0, math.inf], [-math.inf, 1], [True, 0], [0, False]):
+            with pytest.raises(ValueError):
+                ring.decode(bad)
+    with pytest.raises(linalg.SingularMatrixError):
+        linalg.inv(ring, ring.array([[1, 2], [2, 4]]))
+
+
+# The only places outside coeffs that may decide on the field type or pick
+# an object dtype, with the reason each one stays.
+RING_DECISIONS_ALLOWED = {
+    # the algorithms differ: residue arithmetic and elimination against
+    # numpy products, LU and singular values
+    ("linalg", "matmul"), ("linalg", "det"), ("linalg", "rank"),
+    ("linalg", "nullspace"), ("linalg", "solve"), ("linalg", "inv"),
+    # a count of failing pairs over F_p, a magnitude over C
+    ("symmetry", "_pair_defect"),
+    # least residue against sign of the real part
+    ("symmetry", "_canonical_sign"),
+    # the complex einsum rounds differently from the stacked matmul
+    ("symmetry", "_first_column_system"),
+    # non-residue retry against an absolute isotropy threshold
+    ("symmetry", "_first_column_companion"),
+    # input guard: the reduction runs in complex arithmetic
+    ("reduce", "reduce_to_identity"),
+}
+
+
+def _names(node: ast.AST) -> set:
+    return {x.id for x in ast.walk(node) if isinstance(x, ast.Name)} | \
+        {x.attr for x in ast.walk(node) if isinstance(x, ast.Attribute)}
+
+
+def _ring_decisions(tree: ast.Module):
+    """(function, line) of every isinstance test on a field class and every
+    dtype= keyword that can select object."""
+    out = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call):
+            if (isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+                    and len(node.args) == 2
+                    and _names(node.args[1]) & {"PrimeField", "ComplexField"}):
+                out.append((func, node.lineno))
+            if any(k.arg == "dtype" and "object" in _names(k.value) for k in node.keywords):
+                out.append((func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return out
+
+
+def test_ring_decisions_stay_in_the_allowlist():
+    src = Path(octjordan.__file__).parent
+    found = {}
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "coeffs":
+            continue
+        for func, line in _ring_decisions(ast.parse(path.read_text())):
+            found.setdefault((path.stem, func), []).append(line)
+    outside = {site: lines for site, lines in found.items()
+               if site not in RING_DECISIONS_ALLOWED}
+    assert not outside, f"field-type decisions outside coeffs: {outside}"
+    repeated = {site: lines for site, lines in found.items() if len(lines) > 1}
+    assert not repeated, f"more than one field-type decision per site: {repeated}"
+
+
+def test_ring_decision_scan_sees_each_kind_of_decision():
+    code = """
+def f(ring, x):
+    if isinstance(ring, (PrimeField, int)):
+        return np.zeros(3, dtype=np.int64 if x else object)
+    return isinstance(x, coeffs.ComplexField)
+"""
+    assert _ring_decisions(ast.parse(code)) == [("f", 3), ("f", 4), ("f", 5)]

@@ -7,7 +7,7 @@ from octjordan import linalg
 from octjordan.coeffs import (INT64_SAFE_MODULUS, ComplexField, PrimeField,
                               derive_rng, is_prime)
 from octjordan.linalg import (IsotropicVectorError, SingularMatrixError,
-                              cayley_orthogonal, det, eye, field_array, inv,
+                              cayley_orthogonal, det, eye, inv,
                               matmul, nullspace, random_skew, rank,
                               reflection_pair)
 
@@ -18,12 +18,12 @@ C = ComplexField()
 
 def rand_mat(ring, n, rng, m=None):
     m = m or n
-    return field_array(ring, [[ring.random(rng) for _ in range(m)] for _ in range(n)])
+    return ring.array([[ring.random(rng) for _ in range(m)] for _ in range(n)])
 
 
 def test_det_identity_and_diagonal():
     assert det(F, eye(F, 24)) == 1
-    d = field_array(F, np.diag([2, 3, 5, 7]))
+    d = F.array(np.diag([2, 3, 5, 7]))
     assert det(F, d) == 2 * 3 * 5 * 7
     assert abs(det(C, np.eye(24, dtype=complex)) - 1) < 1e-12
 
@@ -36,7 +36,7 @@ def test_det_multiplicative():
 
 
 def test_rank_and_nullspace():
-    assert rank(F, field_array(F, np.zeros((6, 6), dtype=int))) == 0
+    assert rank(F, F.array(np.zeros((6, 6), dtype=int))) == 0
     assert rank(F, eye(F, 24)) == 24
     rng = derive_rng(0, "rk")
     for cols in (8, 13):
@@ -60,17 +60,17 @@ def test_rank_complex_tolerance():
 def test_solve_and_inv():
     rng = derive_rng(0, "solve")
     a = rand_mat(F, 6, rng)
-    b = field_array(F, [F.random(rng) for _ in range(6)])
+    b = F.array([F.random(rng) for _ in range(6)])
     x = linalg.solve(F, a, b)
     assert np.array_equal(matmul(F, a, x), b)
     assert np.array_equal(matmul(F, a, inv(F, a)), eye(F, 6))
     with pytest.raises(SingularMatrixError):
-        linalg.solve(F, field_array(F, np.zeros((3, 3), dtype=int)), eye(F, 3))
+        linalg.solve(F, F.array(np.zeros((3, 3), dtype=int)), eye(F, 3))
 
 
 def test_cayley_orthogonal_field():
     rng = derive_rng(0, "cayf")
-    assert np.array_equal(cayley_orthogonal(F, field_array(F, np.zeros((5, 5), dtype=int))),
+    assert np.array_equal(cayley_orthogonal(F, F.array(np.zeros((5, 5), dtype=int))),
                           eye(F, 5))
     for _ in range(5):
         s = random_skew(F, 8, rng, fix_first=True)
@@ -123,8 +123,8 @@ def test_reflection_pair_field():
     rng = derive_rng(0, "reflf")
     done = 0
     while done < 5:
-        u = field_array(F, [0] + [F.random(rng) for _ in range(7)])
-        v = field_array(F, [0] + [F.random(rng) for _ in range(7)])
+        u = F.array([0] + [F.random(rng) for _ in range(7)])
+        v = F.array([0] + [F.random(rng) for _ in range(7)])
         try:
             t = reflection_pair(F, u, v)
         except IsotropicVectorError:
@@ -187,8 +187,8 @@ def test_echelon_rank_and_nullspace_match_reference(p, rows, cols, r):
     rng = derive_rng(0, "echelon", p, rows, cols, r)
     for _ in range(3):
         raw = known_rank(p, rows, cols, r, rng)
-        a = field_array(ring, raw)
-        assert a.dtype == (np.int64 if ring.int64_safe else object)
+        a = ring.array(raw)
+        assert a.dtype == (np.int64 if ring.p <= INT64_SAFE_MODULUS else object)
         assert rank(ring, a) == r == reference_rank_det(raw, p)[0]
         ker = nullspace(ring, a)
         assert ker.shape == (cols, cols - r)
@@ -209,7 +209,7 @@ def test_wide_rank_with_pivots_right_of_their_row(p, rows, cols, r, lead):
     rng = derive_rng(0, "wide-echelon", p, rows, cols, r, lead)
     for _ in range(3):
         raw = [[0] * lead + row for row in known_rank(p, rows, cols - lead, r, rng)]
-        a = field_array(ring, raw)
+        a = ring.array(raw)
         assert rank(ring, a) == r == reference_rank_det(raw, p)[0]
         assert rank(ring, a.T) == r
         ker = nullspace(ring, a)
@@ -229,11 +229,11 @@ def test_det_sign_under_row_swaps(p, r):
         for i in range(n // 2):
             raw[i][i] = 0
         want = reference_rank_det(raw, p)[1]
-        assert det(ring, field_array(ring, raw)) == want
+        assert det(ring, ring.array(raw)) == want
         perm = list(range(n))
         rng.shuffle(perm)
         inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-        swapped = field_array(ring, [raw[i] for i in perm])
+        swapped = ring.array([raw[i] for i in perm])
         assert det(ring, swapped) == (-want if inversions % 2 else want) % p
 
 
@@ -245,7 +245,7 @@ def test_det_solve_inv_match_reference(p):
     for _ in range(3):
         raw_a = known_rank(p, n, n, n, rng)
         raw_b = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
-        a, b = field_array(ring, raw_a), field_array(ring, raw_b)
+        a, b = ring.array(raw_a), ring.array(raw_b)
         da = det(ring, a)
         assert da == reference_rank_det(raw_a, p)[1] != 0
         assert det(ring, b) == reference_rank_det(raw_b, p)[1]
@@ -281,9 +281,9 @@ def reference_matmul(a, b, p):
 
 def assert_exact_product(ring, a, b, ref):
     out = matmul(ring, np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
-    assert out.dtype == (np.int64 if ring.int64_safe else object)
+    assert out.dtype == (np.int64 if ring.p <= INT64_SAFE_MODULUS else object)
     assert out.tolist() == ref
-    if not ring.int64_safe:
+    if ring.p > INT64_SAFE_MODULUS:
         out = matmul(ring, np.array(a, dtype=object), np.array(b, dtype=object))
         assert out.tolist() == ref
 

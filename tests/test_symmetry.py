@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from octjordan import cayley, linalg, symmetry
-from octjordan.coeffs import ComplexField, PrimeField, derive_rng
+from octjordan.coeffs import INT64_SAFE_MODULUS, ComplexField, PrimeField, derive_rng
 from octjordan.jordan import (HermitianTriple, build_M, build_N, det_cartan,
                               full_matmul, random_triple, s_odm, to_full_matrix,
                               twisted_cubic, twisted_sextic)
@@ -138,7 +138,7 @@ def test_sl3_act():
     a = random_triple(F, 3, rng)
     assert sl3_act(F, linalg.eye(F, 3), a) == a
     for _ in range(5):
-        h = linalg.field_array(F, [[F.random(rng) for _ in range(3)] for _ in range(3)])
+        h = F.array([[F.random(rng) for _ in range(3)] for _ in range(3)])
         if linalg.det(F, h) == 0:
             continue
         moved = sl3_act(F, h, a)
@@ -165,7 +165,7 @@ def test_sl3_act_is_the_congruence_of_the_full_matrix(ring):
             rows = [[draw() for _ in range(3)] for _ in range(3)]
         else:  # the block shape of C9's twisted covariance check
             rows = [[draw(), draw(), 0], [draw(), draw(), 0], [0, 0, draw()]]
-        h = np.array(rows, dtype=complex) if ring == C else linalg.field_array(ring, rows)
+        h = np.array(rows, dtype=complex) if ring == C else ring.array(rows)
         a = random_triple(ring, 3, rng)
         got, want = sl3_act(ring, h, a), _congruence_by_full_matmul(ring, h, a)
         scalars = got.flatten()
@@ -173,7 +173,7 @@ def test_sl3_act_is_the_congruence_of_the_full_matrix(ring):
             assert all(type(v) is complex for v in scalars)
             assert np.allclose(scalars, want.flatten(), rtol=0, atol=1e-12)
         else:
-            assert h.dtype == (np.int64 if ring.int64_safe else object)
+            assert h.dtype == (np.int64 if ring.p <= INT64_SAFE_MODULUS else object)
             assert all(type(v) is int for v in scalars)
             assert got == want
 
@@ -201,7 +201,7 @@ def test_sl3_spin7_rank_preservation_on_degenerate_point():
     assert linalg.rank(F, build_N(spin7_act(trip, a))) == r0
     # congruences in the block subgroup compatible with the twist also
     # preserve the rank of N at degenerate points
-    hb = linalg.field_array(F, [[3, 7, 0], [2, 5, 0], [0, 0, 11]])
+    hb = F.array([[3, 7, 0], [2, 5, 0], [0, 0, 11]])
     assert linalg.rank(F, build_N(sl3_act(F, hb, a))) == r0
 
 
@@ -235,7 +235,7 @@ def test_fast_lift_is_the_unique_orthogonal_companion():
 
 def test_first_column_fiber_contains_identity():
     # for the identity both systems have the unit e_1 as their only solution
-    e1 = linalg.field_array(F, [[1], [0], [0], [0], [0], [0], [0], [0]])
+    e1 = F.array([[1], [0], [0], [0], [0], [0], [0], [0]])
     for side in ("right", "left"):
         ker = linalg.nullspace(F, symmetry._first_column_system(F, linalg.eye(F, 8), side))
         assert ker.shape[1] == 1
@@ -387,7 +387,7 @@ def test_pair_defect_matches_the_product_loop_complex():
 def test_first_column_system_matches_the_block_loop(p):
     ring = PrimeField(p)
     rng = derive_rng(0, "first-column", p)
-    arbitrary = linalg.field_array(ring, [[ring.random(rng) for _ in range(8)]
+    arbitrary = ring.array([[ring.random(rng) for _ in range(8)]
                                           for _ in range(8)])
     for m in (random_so7(ring, rng), arbitrary):
         for side in ("right", "left"):
