@@ -50,7 +50,11 @@ def _canonical(obj):
 
 
 def emit_report(report: dict, path: str | None) -> None:
-    text = json.dumps(_canonical(report), sort_keys=True, indent=2) + "\n"
+    _write_report(json.dumps(_canonical(report), sort_keys=True, indent=2) + "\n", path)
+
+
+def _write_report(text: str, path: str | None) -> None:
+    """The text to stdout, or to path; an unwritable path is a usage error."""
     if path is None:
         sys.stdout.write(text)
         return
@@ -185,15 +189,7 @@ def _cmd_strata(args) -> int:
     if args.format == "csv":
         lines = ["corank,count"]
         lines += [f"{k},{v}" for k, v in sorted(census.histogram.items())]
-        text = "\n".join(lines) + "\n"
-        if args.out is None:
-            sys.stdout.write(text)
-        else:
-            try:
-                with open(args.out, "w") as fh:
-                    fh.write(text)
-            except OSError as exc:
-                raise UsageError(f"cannot write report to {args.out}: {exc}")
+        _write_report("\n".join(lines) + "\n", args.out)
     else:
         emit_report(census.to_json_dict(), args.out)
     return EXIT_OK

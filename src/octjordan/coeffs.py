@@ -14,16 +14,14 @@ the field.  Both fields provide:
 - reduce(a), which maps a value computed with Python or numpy operators on
   scalars or arrays back to the field: `% p` over F_p, the identity over
   C.  Hot loops accumulate with operators and reduce once per result;
-- is_zero(a, scale): exact over F_p, which ignores the scale;
-  |a| <= tol * max(1, scale) over C, where magnitude(arr), the squared
-  norm of an array, is the scale of a quadratic form on it;
+- is_zero(a): exact over F_p, |a| <= tol over C;
 - encode(s) / decode(v), the JSON scalar: a decimal string from a decimal
   string or integer over F_p, [re, im] from two finite numbers over C.
   decode raises ValueError on bools, floats as residues and non-finite
   parts.
 
 autdim.PolyRing has the scalar operations on sparse polynomials but no
-dtype, array, div, magnitude or JSON form, and sets reduce = None because its
+dtype, array, div or JSON form, and sets reduce = None because its
 scalars have no operators (the algebra code then calls the ring per term).
 """
 
@@ -123,11 +121,8 @@ class PrimeField:
     def div(self, a, b):
         return a * pow(b, -1, self.p) % self.p
 
-    def is_zero(self, a, scale: float = 1.0) -> bool:
+    def is_zero(self, a) -> bool:
         return a % self.p == 0
-
-    def magnitude(self, arr) -> float:
-        return 1.0
 
     def array(self, x) -> np.ndarray:
         return np.array(x, dtype=self.dtype) % self.p
@@ -219,11 +214,8 @@ class ComplexField:
     def div(self, a, b):
         return a / b
 
-    def is_zero(self, a, scale: float = 1.0) -> bool:
-        return abs(a) <= self.tol * max(1.0, scale)
-
-    def magnitude(self, arr) -> float:
-        return float(np.linalg.norm(arr)) ** 2
+    def is_zero(self, a) -> bool:
+        return abs(a) <= self.tol
 
     def array(self, x) -> np.ndarray:
         return np.array(x, dtype=np.complex128)

@@ -233,7 +233,10 @@ def triple_to_json(t: HermitianTriple) -> dict:
 
 
 def triple_from_json(ring, d: dict) -> HermitianTriple:
-    level = int(d["level"])
+    level = d["level"]
+    # a JSON integer, not a bool or a float that int() would truncate
+    if type(level) is not int or not 0 <= level <= 3:
+        raise ValueError(f"level must be an integer in 0..3, got {level!r}")
 
     def dec(key, n):
         vals = d[key]

@@ -12,7 +12,7 @@ intermediate overflows.  rank and det eliminate by forward elimination
 echelon form.  Over C, rank and nullspace decide through singular values
 with a tolerance relative to the largest one, and a singular inverse
 raises SingularMatrixError as over F_p.  The constructions built on these
-(eye, random_skew, Cayley maps, reflection pairs) run unchanged on both.
+(eye, random_skew, Cayley maps) run unchanged on both.
 """
 
 from __future__ import annotations
@@ -28,10 +28,6 @@ DEFAULT_RANK_TOL = 1e-8
 
 class SingularMatrixError(ValueError):
     """Inversion attempted on a singular matrix (for Cayley: I+S singular)."""
-
-
-class IsotropicVectorError(ValueError):
-    """A construction needed a non-isotropic vector; caller should resample."""
 
 
 def _sum_safe(p: int, n: int) -> bool:
@@ -196,53 +192,3 @@ def cayley_orthogonal(ring, skew: np.ndarray) -> np.ndarray:
     idn = eye(ring, skew.shape[0])
     return matmul(ring, ring.reduce(idn - skew), inv(ring, ring.reduce(idn + skew)))
 
-
-def _form(ring, x: np.ndarray, y: np.ndarray):
-    """The bilinear form B(x, y) = sum_i x_i y_i as a Python ring scalar."""
-    return matmul(ring, x[None], y[:, None]).item()
-
-
-def _reflect_matrix(ring, w: np.ndarray) -> np.ndarray:
-    """Hyperplane reflection x -> x - 2 B(x,w)/B(w,w) w."""
-    f = ring.div(ring.from_int(2), _form(ring, w, w))
-    return ring.reduce(eye(ring, w.shape[0]) - f * ring.reduce(np.outer(w, w)))
-
-
-def reflection_pair(ring, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Product of two reflections mapping direction u to direction v.
-
-    Determinant 1; fixes e_1 when u and v are supported away from the first
-    coordinate.  Needs B(u,u), B(v,v) nonzero and, over F_p, a square root
-    of their ratio; failures raise IsotropicVectorError (resample).  Zero
-    tests over C are relative to |u|^2 (|v|^2 for B(v,v)).
-    """
-    qu = _form(ring, u, u)
-    qv = _form(ring, v, v)
-    scale = ring.magnitude(u)
-    if ring.is_zero(qu, scale):
-        raise IsotropicVectorError("B(u,u) = 0")
-    if ring.is_zero(qv, ring.magnitude(v)):
-        raise IsotropicVectorError("B(v,v) = 0")
-    s = ring.sqrt(ring.mul(qu, ring.inv(qv)))
-    if s is None:
-        raise IsotropicVectorError("norm ratio is not a square in F_p")
-    v2 = ring.array([ring.mul(s, x) for x in v.tolist()])
-    wplus = ring.reduce(u + v2)
-    if not ring.is_zero(_form(ring, wplus, wplus), scale):
-        # R_w(u) = -v2, then R_{v2} flips it back: u -> v2
-        return matmul(ring, _reflect_matrix(ring, v2), _reflect_matrix(ring, wplus))
-    # fallback: R_{u - v2}(u) = v2, then a reflection fixing v2
-    wminus = ring.reduce(u - v2)
-    if ring.is_zero(_form(ring, wminus, wminus), scale):
-        raise IsotropicVectorError("both reflection vectors isotropic")
-    n = u.shape[0]
-    idn = eye(ring, n)
-    # prefer axes away from coordinate 0 so e_1 stays fixed for imaginary data
-    for i in list(range(1, n)) + [0]:
-        e = idn[i]
-        bev = _form(ring, e, v2)
-        w2 = ring.array([ring.sub(ring.mul(qu, a), ring.mul(bev, b))
-                         for a, b in zip(e.tolist(), v2.tolist())])
-        if not ring.is_zero(_form(ring, w2, w2), scale):
-            return matmul(ring, _reflect_matrix(ring, w2), _reflect_matrix(ring, wminus))
-    raise IsotropicVectorError("no non-isotropic axis found for the second reflection")

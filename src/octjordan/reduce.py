@@ -2,21 +2,16 @@
 
 The reduction follows the orbit argument step by step: alternate Spin7
 moves and 3x3 congruences until the triple is complex symmetric, then
-finish with one congruence onto the identity matrix.  Spin7 moves come in
-two flavours, mirroring how the transitivity of the group on sphere/pair
-strata is invoked:
-
-  * when only the c slot is steered, the move is an explicit
-    reflection-pair rotation in the imaginary 7-space followed by the
-    triality lift (move_c_to_plane);
-  * when a pair condition must hold simultaneously (steer c while placing
-    or fixing the image of a under the spinor-slot T1), the move is found
-    by Gauss-Newton on the group (stabilizer_solve).  Triality is a
-    Lie-algebra isomorphism, so each skew generator of the chart fixing
-    the T2 constraint has a closed-form partner for T1 (chart_pair); the
-    iterates are left-multiplied by exponentials of these pairs, which
-    keeps them genuine group elements without lifting inside the loop and
-    makes the Jacobian exact.
+finish with one congruence onto the identity matrix.  Triality is a
+Lie-algebra isomorphism, so each skew generator of the chart for T2 has a
+closed-form partner for T1 (chart_pair), and every Spin7 move is a product
+of exponentials of these pairs: a genuine group element, with no triality
+lift anywhere.  The moves are found by Gauss-Newton on the group
+(stabilizer_solve), whose Jacobian is exact in these coordinates: T1
+places a, or T2 places c (move_c_to_plane), in a coordinate plane,
+optionally while T2 steers one basis direction to another.  The one
+exception is a random element of the stabilizer of c, drawn when a needs
+rearranging.
 
 Every denominator of the pipeline (r2, r3, lambda2, r7, the half-space
 pairings) is guarded by a threshold relative to the norm of the current
@@ -42,7 +37,7 @@ from . import cayley, linalg, symmetry
 from .cayley import AlgebraElement
 from .coeffs import ComplexField
 from .jordan import HermitianTriple, identity_triple
-from .symmetry import TrialityTriple, lift_right_companion, sl3_act, spin7_act
+from .symmetry import TrialityTriple, sl3_act, spin7_act
 
 GENERIC_TOL = 1e-8      # relative threshold on every proof denominator
 GN_TOL = 1e-10
@@ -67,7 +62,7 @@ class TransformWord:
 
     moves: list = field(default_factory=list)       # ("spin7", TrialityTriple) | ("congruence", H)
     steps: list = field(default_factory=list)       # parallel step labels
-    solver: list = field(default_factory=list)      # (step label, SolveRecord) per stabilizer_solve
+    solver: list = field(default_factory=list)      # (step label, SolveRecord) per solved move
     scale: complex = 1 + 0j
     intermediates: list = field(default_factory=list)  # flattened states after each move
     residual: float = 0.0
@@ -128,34 +123,6 @@ def random_generic_triple(rng: random.Random) -> HermitianTriple:
     coords = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(27)]
     from .jordan import unflatten
     return unflatten(_RING, 3, coords)
-
-
-# Spin7 move with an explicit rotation: steer c into a coordinate 2-plane.
-
-def move_c_to_plane(t: HermitianTriple, target: int = 1):
-    """Spin7 move whose T2 maps c into span(e1, e_{target+1}).
-
-    Built from a reflection pair in the 7-dimensional imaginary space
-    (fixing e1) followed by the triality lift; c real is the degenerate
-    branch where the identity move suffices.
-    """
-    scale = max(_norm(t), 1e-300)
-    imvec = np.array((0,) + t.c.coords[1:], dtype=complex)
-    if np.max(np.abs(imvec)) <= GENERIC_TOL * scale:
-        trip = TrialityTriple.identity(t.ring)
-        return trip, t
-    targetvec = np.zeros(8, dtype=complex)
-    targetvec[target] = 1
-    try:
-        # the reflection depends on the direction only; a unit vector keeps
-        # the isotropy test relative whatever the scale of the input
-        t2 = linalg.reflection_pair(t.ring, imvec / np.linalg.norm(imvec), targetvec)
-        trip = lift_right_companion(t.ring, t2)
-    except linalg.IsotropicVectorError as exc:
-        raise NonGenericInput("move_c_to_plane", f"imaginary part of c is unusable: {exc}")
-    except symmetry.LiftError as exc:
-        raise NonGenericInput("move_c_to_plane", f"reflection pair does not lift: {exc}")
-    return trip, spin7_act(trip, t)
 
 
 # Gauss-Newton on the group, in the Lie algebra of the stabilizer chart.
@@ -234,78 +201,100 @@ class SolveRecord:
     residual: float     # norm of the accepted residual
 
 
-def stabilizer_solve(t: HermitianTriple, rng: random.Random, step: str,
-                     span_w: AlgebraElement, span_allowed,
-                     steer: tuple | None = None):
-    """Find a Spin7 element whose T1 slot sends the designated octonion
-    into the designated coordinate plane, optionally while the T2 slot
-    maps one basis direction to another.
+def _quarter_turn(src: int, dst: int) -> tuple:
+    """exp(theta (A1_k, A2_k)) for the chart generator k on the coordinate
+    plane of e_{src+1} and e_{dst+1}, with theta = -pi/2 when src < dst and
+    pi/2 otherwise, so that T2 sends e_{src+1} to e_{dst+1}."""
+    a1, a2 = chart_pair(None)
+    k = int(np.argmax(a2[:, min(src, dst), max(src, dst)]))
+    theta = -math.pi / 2 if src < dst else math.pi / 2
+    return expm(complex(theta) * a1[k]), expm(complex(theta) * a2[k])
 
-    steer = (i, j) maps basis direction e_{i+1} to e_{j+1} under T2: the
-    base pair is a reflection pair doing that, lifted once, and every move
-    after it is a left multiplication by the chart stabilizing e_1 and
-    e_{j+1} (15 dimensions; 21 and the identity base when unconstrained),
-    so the constraint holds exactly.  The placement (T1 w)[banned] = 0 is
-    solved by damped Gauss-Newton on the group with the left retraction
+
+def stabilizer_solve(t: HermitianTriple, rng: random.Random, step: str,
+                     slot: str, span_allowed, steer: tuple | None = None):
+    """Find a Spin7 element that sends the octonion in the given slot into
+    the designated coordinate plane, optionally while T2 maps one basis
+    direction to another.
+
+    The a slot is placed by T1 and the c slot by T2; the other matrix of
+    the pair follows.  steer = (i, j) maps basis direction e_{i+1} to
+    e_{j+1} under T2: the base pair is the quarter turn of the chart
+    generator on that plane, and every move after it is a left
+    multiplication by the chart stabilizing e_1 and e_{j+1} (15
+    dimensions; 21 and the identity base when unconstrained), so the
+    constraint holds exactly.  The placement (T w)[banned] = 0 is solved by
+    damped Gauss-Newton on the group with the left retraction
     (T1, T2) <- (exp(sum d_k A1_k) T1, exp(sum d_k A2_k) T2) of chart_pair,
-    whose Jacobian column k is exactly (A1_k T1 w)[banned]; random restarts
-    begin at exp(theta A) applied to the base pair.  The accepted pair is
-    certified.  Returns (move, moved triple, SolveRecord).
+    whose Jacobian column k is exactly (A_k T w)[banned] for the placing
+    side; random restarts begin at exp(theta A) applied to the base pair.
+    The accepted pair is certified.  Returns (move, moved triple,
+    SolveRecord).
     """
+    # ga, base_a: the side placing the slot (T1 for a, T2 for c); gb, base_b: the other
+    ga, gb = chart_pair(None if steer is None else steer[1])
+    base_a = base_b = np.eye(8, dtype=complex)
     if steer is not None:
-        src = np.zeros(8, dtype=complex)
-        src[steer[0]] = 1
-        dst = np.zeros(8, dtype=complex)
-        dst[steer[1]] = 1
-        base2 = linalg.reflection_pair(_RING, src, dst)
-        base1 = symmetry.fast_right_companion(_RING, base2)
-    else:
-        base1 = base2 = np.eye(8, dtype=complex)
-    a1, a2 = chart_pair(None if steer is None else steer[1])
-    w = np.array(span_w.coords, dtype=complex)
+        base_a, base_b = _quarter_turn(*steer)
+    if slot == "c":
+        ga, gb, base_a, base_b = gb, ga, base_b, base_a
+    w = np.array(getattr(t, slot).coords, dtype=complex)
     banned = [k for k in range(8) if k not in span_allowed]
     tol = GN_TOL * float(np.linalg.norm(w))
     iterations = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for restart in range(GN_RESTARTS):
             if restart == 0:
-                t1, t2 = base1, base2
+                ta, tb = base_a, base_b
             else:
                 spread = 0.4 + 0.2 * (restart % 3)
                 theta = np.array([complex(rng.gauss(0, spread), rng.gauss(0, spread))
-                                  for _ in range(len(a2))])
-                e1, e2 = _exp_pair(theta, a1, a2)
-                t1, t2 = e1 @ base1, e2 @ base2
-            v = t1 @ w
+                                  for _ in range(len(ga))])
+                ea, eb = _exp_pair(theta, ga, gb)
+                ta, tb = ea @ base_a, eb @ base_b
+            v = ta @ w
             r = v[banned]
             rn = float(np.linalg.norm(r))
             if not math.isfinite(rn):
                 continue
             for _ in range(GN_MAX_ITERS):
                 if rn <= tol:
+                    pair = (ta, tb) if slot == "a" else (tb, ta)
                     try:
-                        trip = TrialityTriple(_RING, t1, t2).certified()
+                        trip = TrialityTriple(_RING, *pair).certified()
                     except symmetry.LiftError:
                         break
                     record = SolveRecord(iterations, restart, rn)
                     return ("spin7", trip), spin7_act(trip, t), record
                 iterations += 1
-                jac = (a1 @ v)[:, banned].T
+                jac = (ga @ v)[:, banned].T
                 step_vec = np.linalg.lstsq(jac, -r, rcond=None)[0]
                 damp = 1.0
                 for _ in range(10):
                     d = damp * step_vec
-                    t1c = expm(np.tensordot(d, a1, 1)) @ t1
-                    vc = t1c @ w
+                    tac = expm(np.tensordot(d, ga, 1)) @ ta
+                    vc = tac @ w
                     rc = float(np.linalg.norm(vc[banned]))
                     if rc < rn:      # False for a non-finite candidate
-                        t1, t2 = t1c, expm(np.tensordot(d, a2, 1)) @ t2
+                        ta, tb = tac, expm(np.tensordot(d, gb, 1)) @ tb
                         v, r, rn = vc, vc[banned], rc
                         break
                     damp /= 2
                 else:
                     break
     raise NonGenericInput(step, "Gauss-Newton stagnated on the pair condition")
+
+
+def move_c_to_plane(t: HermitianTriple, rng: random.Random, step: str, target: int = 1):
+    """Spin7 move whose T2 maps c into span(e1, e_{target+1}).
+
+    The Gauss-Newton placement of stabilizer_solve on the c slot over the
+    full 21-dimensional chart: T2 fixes e1, so the real part of c stays and
+    its imaginary part is rotated onto the axis, which fails (NonGenericInput)
+    whenever that part is isotropic.  A real c is accepted at once with
+    the identity move.  Returns (move, moved triple, SolveRecord).
+    """
+    return stabilizer_solve(t, rng, step, "c", (0, target))
 
 
 def symmetric_congruence_to_identity(s: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -435,9 +424,9 @@ def _congruence(word: TransformWord, label: str, h: np.ndarray,
     return _apply_and_record(word, label, ("congruence", h), sl3_act(_RING, h, state))
 
 
-def _solve_and_record(word: TransformWord, label: str, state: HermitianTriple,
-                      rng: random.Random, **placement) -> HermitianTriple:
-    move, state, record = stabilizer_solve(state, rng, label, **placement)
+def _solve_and_record(word: TransformWord, label: str, solve, state: HermitianTriple,
+                      rng: random.Random, *args, **kwargs) -> HermitianTriple:
+    move, state, record = solve(state, rng, label, *args, **kwargs)
     word.solver.append((label, record))
     return _apply_and_record(word, label, move, state)
 
@@ -445,8 +434,7 @@ def _solve_and_record(word: TransformWord, label: str, state: HermitianTriple,
 def _offdiagonal_pipeline(state: HermitianTriple, word: TransformWord,
                           rng: random.Random) -> HermitianTriple:
     # step 1: rotate c into span(e1, i)
-    trip, state = move_c_to_plane(state, target=1)
-    state = _apply_and_record(word, "c to (1,i) plane", ("spin7", trip), state)
+    state = _solve_and_record(word, "c to (1,i) plane", move_c_to_plane, state, rng)
     sc = _norm(state)
     r1 = _guard("c to (1,i) plane", "r1 = Re(c)", _coord(state, "c", 0), sc)
     r2 = _guard("c to (1,i) plane", "r2 = i-part of c", _coord(state, "c", 1), sc)
@@ -475,8 +463,8 @@ def _offdiagonal_pipeline(state: HermitianTriple, word: TransformWord,
     state = _congruence(word, "orthogonalize a halves", _elementary(0, 2, -q), state)
 
     # step 3: steer c to span(1, n) while T1 puts a into span(i, n)
-    state = _solve_and_record(word, "pair-steer c to n, a to (i,n)", state, rng,
-                              steer=(1, 6), span_w=state.a, span_allowed=(1, 6))
+    state = _solve_and_record(word, "pair-steer c to n, a to (i,n)", stabilizer_solve,
+                              state, rng, "a", (1, 6), steer=(1, 6))
     sc = _norm(state)
     r2 = _guard("pair-steer", "r2 = n-part of c", _coord(state, "c", 6), sc)
     r4 = _coord(state, "a", 6)
@@ -487,8 +475,8 @@ def _offdiagonal_pipeline(state: HermitianTriple, word: TransformWord,
     r3 = _guard("kill n-part of a", "r3 = i-part of a", _coord(state, "a", 1), sc)
 
     # step 5: steer c back to span(1, i) keeping a in span(1, i)
-    state = _solve_and_record(word, "steer c back keeping a in (1,i)", state, rng,
-                              span_w=state.a, span_allowed=(0, 1), steer=(6, 1))
+    state = _solve_and_record(word, "steer c back keeping a in (1,i)", stabilizer_solve,
+                              state, rng, "a", (0, 1), steer=(6, 1))
     sc = _norm(state)
     r2 = _coord(state, "c", 1)
     r3 = _guard("steer c back", "r3 = i-part of a", _coord(state, "a", 1), sc)
@@ -500,8 +488,7 @@ def _offdiagonal_pipeline(state: HermitianTriple, word: TransformWord,
         raise NonGenericInput("make c real", "imaginary residue of c")
 
     # step 7: T1 sends a to a complex scalar (c real is T2-invariant)
-    state = _solve_and_record(word, "scalarize a", state, rng,
-                              span_w=state.a, span_allowed=(0,))
+    state = _solve_and_record(word, "scalarize a", stabilizer_solve, state, rng, "a", (0,))
     sc = _norm(state)
     r6 = _coord(state, "c", 0)
     r7 = _guard("scalarize a", "r7 = Re(a)", _coord(state, "a", 0), sc)
@@ -518,8 +505,7 @@ def _offdiagonal_pipeline(state: HermitianTriple, word: TransformWord,
     state = _congruence(word, "swap b into the c slot", h, state)
 
     # step 9: rotate the remaining octonion into span(1, i)
-    trip, state = move_c_to_plane(state, target=1)
-    state = _apply_and_record(word, "b-octonion to (1,i) plane", ("spin7", trip), state)
+    state = _solve_and_record(word, "b-octonion to (1,i) plane", move_c_to_plane, state, rng)
 
     # step 10: permute it into the a slot
     h = np.array([[0, 0, 1], [0, -1, 0], [1, 0, 0]], dtype=complex)
@@ -528,6 +514,6 @@ def _offdiagonal_pipeline(state: HermitianTriple, word: TransformWord,
     # step 11: T1 scalarizes the last octonion
     sc = _norm(state)
     if max(abs(z) for z in state.a.coords[1:]) > GENERIC_TOL * sc:
-        state = _solve_and_record(word, "scalarize the last octonion", state, rng,
-                                  span_w=state.a, span_allowed=(0,))
+        state = _solve_and_record(word, "scalarize the last octonion", stabilizer_solve,
+                                  state, rng, "a", (0,))
     return state

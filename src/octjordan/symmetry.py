@@ -3,13 +3,15 @@
 The group behind the twisted eigenvalue problem is the copy of Spin7 made
 of pairs (T1, T2) of orthogonal 8x8 matrices with T1(x) T2(y) = T1(xy) for
 all x, y; projecting to T2 double-covers the SO7 stabilizing the unit.
-The untwisted problem uses the other copy, T2(uv) = T1(u) T2(v).  Either
-companion is lifted through its first column: putting the unit e_1 into
-the defining identity gives T1 = L_u T2 with u = T1(e_1), or T2 = R_w T1
-with w = T2(e_1), and the remaining identities are linear in the 8
-unknowns of u or w.  The one-dimensional solution space makes the double
-cover concrete, and the normalization requires a square root which over
-F_p may fail (a retry signal, not an error).  Three actions on hermitian
+The untwisted problem uses the other copy, T2(uv) = T1(u) T2(v).  The
+lift is exact and runs over F_p: putting the unit e_1 into the defining
+identity gives T1 = L_u T2 with u = T1(e_1), and the remaining identities
+are linear in the 8 unknowns of u.  The one-dimensional solution space
+makes the double cover concrete, and the normalization requires a square
+root which F_p may lack (a retry signal, not an error).  The left
+companion is the right one conjugated by K_T(x) = conj(T(conj(x))).
+Complex Spin7 elements are built from exponentials of infinitesimal
+triality pairs instead (reduce.chart_pair).  Three actions on hermitian
 triples are provided: the twisted Spin7 action (T2 on c, T1 on a, the
 conjugation twist of T1 on b), the plain SO7 action entrywise, and
 transpose-congruence by 3x3 scalar matrices.
@@ -33,9 +35,8 @@ LIFT_TOL = 1e-10
 
 
 class LiftError(RuntimeError):
-    """The first-column system did not produce a usable companion: its
-    solution space is not one-dimensional, the solution is isotropic, or
-    the companion fails its defect certificate."""
+    """No usable companion: the first-column solution space is not
+    one-dimensional, or the pair fails its defect certificate."""
 
 
 class NonResidueError(LiftError):
@@ -110,17 +111,7 @@ class TrialityTriple:
 
 
 def _canonical_sign(ring, m: np.ndarray) -> np.ndarray:
-    """Deterministic sign for the two lifts: first significant entry made
-    a least residue (field) or of positive real part (complex)."""
-    if isinstance(ring, ComplexField):
-        flat = m.ravel()
-        scale = float(np.max(np.abs(flat)))
-        for v in flat:
-            if abs(v) > 1e-6 * scale:
-                if v.real < 0 or (abs(v.real) <= 1e-12 * scale and v.imag < 0):
-                    return -m
-                return m
-        return m
+    """The sign of the lifts: the first nonzero entry made a least residue."""
     p = ring.p
     for v in m.ravel().tolist():
         if v % p:
@@ -128,64 +119,35 @@ def _canonical_sign(ring, m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _first_column_system(ring, m: np.ndarray, side: str) -> np.ndarray:
-    """The 512x8 linear system for the first column of the companion of m.
-
-    side "right": m = T2 and the companion is T1 = L_u T2, where
-    u = T1(e_1) solves [s R_{T2(e_k)} - R_{T2(e_j)} R_{T2(e_i)}] u = 0 for
-    every basis product e_i e_j = s e_k.  side "left": m = T1 and the
-    companion is T2 = R_w T1, where w = T2(e_1) solves
-    [s L_{T1(e_k)} - L_{T1(e_i)} L_{T1(e_j)}] w = 0.
-    """
-    right = side == "right"
-    stack = cayley.right_basis_matrices(3) if right else cayley.left_basis_matrices(3)
-    byc = _column_mult_stack(ring, m, stack)
-    # prods[i, j]: R_{m(e_j)} R_{m(e_i)} on the right side, L_{m(e_i)} L_{m(e_j)} on the left
-    if isinstance(ring, ComplexField):
-        prods = np.einsum("jab,ibc->ijac" if right else "iab,jbc->ijac", byc, byc)
-    elif right:
-        prods = linalg.matmul(ring, byc[None], byc[:, None])
-    else:
-        prods = linalg.matmul(ring, byc[:, None], byc[None])
+def _first_column_system(ring, t2: np.ndarray) -> np.ndarray:
+    """The 512x8 linear system for the first column u = T1(e_1) of the
+    companion T1 = L_u T2: [s R_{T2(e_k)} - R_{T2(e_j)} R_{T2(e_i)}] u = 0
+    for every basis product e_i e_j = s e_k."""
+    byc = _column_mult_stack(ring, t2, cayley.right_basis_matrices(3))
+    # prods[i, j] = R_{T2(e_j)} R_{T2(e_i)}
+    prods = linalg.matmul(ring, byc[None], byc[:, None])
     return ring.reduce((_SIGN[:, :, None, None] * byc[_INDEX] - prods).reshape(512, 8))
 
 
-def _first_column_companion(ring, m: np.ndarray, side: str) -> np.ndarray:
-    """The companion of m, with the canonical sign.
+def fast_right_companion(ring, t2: np.ndarray) -> np.ndarray:
+    """T1 of the triality pair over T2, with the canonical sign and without
+    a certificate.
 
     The kernel of the first-column system is the double-cover fiber, so it
     must be one-dimensional; scaling its vector to unit norm needs a square
-    root.
+    root, which F_p may lack (NonResidueError).
     """
-    system = _first_column_system(ring, m, side)
-    ker = linalg.nullspace(ring, system, tol=1e-9)
+    ker = linalg.nullspace(ring, _first_column_system(ring, t2))
     if ker.shape[1] != 1:
-        raise LiftError(f"{side} companion: solution dimension {ker.shape[1]}, "
+        raise LiftError(f"right companion: solution dimension {ker.shape[1]}, "
                         "the input is not in the SO7 image")
     v = AlgebraElement(ring, 3, tuple(ker[:, 0].tolist()))
-    c = v.norm_sq()
-    if isinstance(ring, ComplexField):
-        if abs(c) <= 1e-12:
-            raise LiftError(f"{side} companion: isotropic first column")
-        unit = v.scale(1 / ring.sqrt(c))
-    else:
-        r = ring.sqrt(int(c))
-        if r is None:
-            raise NonResidueError(f"{side} companion: normalization scalar is a "
-                                  f"non-residue mod {ring.p}")
-        unit = v.scale(ring.inv(r))
-    factor = cayley.left_mult_matrix(unit) if side == "right" else cayley.right_mult_matrix(unit)
-    return _canonical_sign(ring, linalg.matmul(ring, factor, m))
-
-
-def fast_right_companion(ring, t2: np.ndarray) -> np.ndarray:
-    """T1 of the triality pair over T2, without a certificate.
-
-    The same first-column lift as lift_right_companion, for callers that
-    certify only a pair built from it later (the steer base of
-    reduce.stabilizer_solve).
-    """
-    return _first_column_companion(ring, t2, "right")
+    r = ring.sqrt(v.norm_sq())
+    if r is None:
+        raise NonResidueError("right companion: normalization scalar is a "
+                              f"non-residue mod {ring.p}")
+    unit = v.scale(ring.inv(r))
+    return _canonical_sign(ring, linalg.matmul(ring, cayley.left_mult_matrix(unit), t2))
 
 
 def lift_right_companion(ring, t2: np.ndarray) -> TrialityTriple:
@@ -194,17 +156,19 @@ def lift_right_companion(ring, t2: np.ndarray) -> TrialityTriple:
     The first-column lift followed by the triality_defect certificate.
     """
     t2 = ring.reduce(t2)
-    return TrialityTriple(ring, _first_column_companion(ring, t2, "right"), t2).certified()
+    return TrialityTriple(ring, fast_right_companion(ring, t2), t2).certified()
 
 
 def lift_left_companion(ring, t1: np.ndarray) -> np.ndarray:
     """Companion T2 with T2(uv) = T1(u) T2(v), for T1 in SO7 fixing e_1.
 
-    This is the other Spin7 copy, the one acting in the untwisted problem;
-    only the lifted T2 matrix is returned, once it satisfies its defining
-    identity.
+    This is the other Spin7 copy, the one acting in the untwisted problem.
+    Conjugating a right pair, T1(x) T2(y) = T1(xy) becomes
+    K_{T2}(u) K_{T1}(v) = K_{T1}(uv), so the companion is K of the right
+    companion of K_{T1}, with the canonical sign.  Only the lifted T2
+    matrix is returned, once it satisfies its defining identity.
     """
-    t2 = _first_column_companion(ring, t1, "left")
+    t2 = _canonical_sign(ring, kappa(ring, fast_right_companion(ring, kappa(ring, t1))))
     _certify(_pair_defect(ring, t1, t2, t2), "left companion")
     return t2
 
@@ -276,7 +240,7 @@ def random_so7(ring, rng: random.Random, tries: int = 64) -> np.ndarray:
 
 
 def random_spin7(ring, rng: random.Random, tries: int = 64) -> TrialityTriple:
-    """Random triality pair, retrying on non-residue normalizations."""
+    """Random triality pair over F_p, retrying on non-residue normalizations."""
     last = None
     for _ in range(tries):
         t2 = random_so7(ring, rng)

@@ -58,10 +58,13 @@ def test_report_determinism(capsys, tmp_path):
 
 
 def test_report_to_missing_directory(capsys):
-    code, _, err = run(capsys, "verify", "--trials", "0",
-                       "--out", "/nonexistent-dir/report.json")
-    assert code == 2
-    assert "cannot write" in err
+    # every report format goes through one writer, with one error path
+    strata = ["strata", "--surface", "sodm", "--matrix", "M", "--samples", "1"]
+    for argv in (["verify", "--trials", "0"], strata + ["--format", "json"],
+                 strata + ["--format", "csv"]):
+        code, out, err = run(capsys, *argv, "--out", "/nonexistent-dir/report")
+        assert code == 2 and out == ""
+        assert "cannot write" in err
 
 
 def test_autdim_command(capsys):
@@ -139,6 +142,23 @@ def test_eval_field_mode_rejects_bool_and_float_residues(capsys, tmp_path):
                        "--input", str(path), "--prime", "29")
     assert code == 0
     assert json.loads(out)["value"] == "6"
+
+
+def test_level_must_be_a_json_integer(capsys, tmp_path):
+    # int() would read 3.9 as level 3, and true as level 1
+    path = tmp_path / "point.json"
+    for ring, prime in ((PrimeField(29), ["--prime", "29"]), (ComplexField(), [])):
+        point = triple_to_json(identity_triple(ring, 3))
+        for bad in (3.9, True, 4, -1, "3"):
+            point["level"] = bad
+            path.write_text(json.dumps(point))
+            argvs = [["eval", "--invariant", "det_cartan", *prime]]
+            if not prime:
+                argvs.append(["reduce"])
+            for argv in argvs:
+                code, out, err = run(capsys, *argv, "--input", str(path))
+                assert code == 2 and out == ""
+                assert "malformed input point" in err and "level" in err
 
 
 def test_non_finite_complex_point_is_malformed(capsys, tmp_path):

@@ -1,15 +1,11 @@
-import random
-
 import numpy as np
 import pytest
 
 from octjordan import linalg
 from octjordan.coeffs import (INT64_SAFE_MODULUS, ComplexField, PrimeField,
                               derive_rng, is_prime)
-from octjordan.linalg import (IsotropicVectorError, SingularMatrixError,
-                              cayley_orthogonal, det, eye, inv,
-                              matmul, nullspace, random_skew, rank,
-                              reflection_pair)
+from octjordan.linalg import (SingularMatrixError, cayley_orthogonal, det, eye,
+                              inv, matmul, nullspace, random_skew, rank)
 
 P31 = 2**31 - 1
 F = PrimeField(P31)
@@ -88,52 +84,6 @@ def test_cayley_orthogonal_complex():
         q = cayley_orthogonal(C, s)
         assert np.linalg.norm(q.T @ q - np.eye(8)) < 1e-12
         assert np.linalg.norm(q[:, 0] - np.eye(8)[:, 0]) < 1e-12
-
-
-def test_reflection_pair_complex():
-    rng = derive_rng(0, "refl")
-    rr = random.Random(11)
-    for _ in range(20):
-        u = np.array([0.0] + [rr.uniform(-1, 1) for _ in range(7)], dtype=complex)
-        v = np.array([0.0] + [rr.uniform(-1, 1) for _ in range(7)], dtype=complex)
-        t = reflection_pair(C, u, v)
-        assert np.linalg.norm(t.T @ t - np.eye(8)) < 1e-10
-        assert abs(np.linalg.det(t) - 1) < 1e-10
-        assert np.linalg.norm(t[:, 0] - np.eye(8)[:, 0]) < 1e-10  # fixes e1
-        img = t @ u
-        # image is parallel to v
-        cross = np.outer(img, v) - np.outer(v, img)
-        assert np.linalg.norm(cross) < 1e-8 * max(1.0, np.linalg.norm(img) * np.linalg.norm(v))
-
-
-def test_reflection_pair_same_vector():
-    u = np.array([0, 1, 2, 3, 0, 0, 0, 0], dtype=complex)
-    t = reflection_pair(C, u, u)
-    assert np.linalg.norm(t @ u - u) < 1e-12
-
-
-def test_reflection_pair_isotropic_raises():
-    u = np.array([0, 1, 1j, 0, 0, 0, 0, 0], dtype=complex)  # B(u,u) = 0
-    v = np.array([0, 1, 0, 0, 0, 0, 0, 0], dtype=complex)
-    with pytest.raises(IsotropicVectorError):
-        reflection_pair(C, u, v)
-
-
-def test_reflection_pair_field():
-    rng = derive_rng(0, "reflf")
-    done = 0
-    while done < 5:
-        u = F.array([0] + [F.random(rng) for _ in range(7)])
-        v = F.array([0] + [F.random(rng) for _ in range(7)])
-        try:
-            t = reflection_pair(F, u, v)
-        except IsotropicVectorError:
-            continue
-        assert np.array_equal(matmul(F, t.T, t), eye(F, 8))
-        img = matmul(F, t, u)
-        cross = (np.outer(img, v) - np.outer(v, img)) % P31
-        assert not np.any(cross)
-        done += 1
 
 
 # --- exact elimination against a pure-Python reference, in all three integer

@@ -74,18 +74,22 @@ def test_symmetric_congruence_singular_raises():
 def test_move_c_to_plane():
     rng = random.Random(5)
     t = random_generic_triple(rng)
-    trip, moved = move_c_to_plane(t, target=1)
-    assert trip.defect() <= 1e-10
+    (kind, trip), moved, record = move_c_to_plane(t, rng, "c to plane", target=1)
+    assert kind == "spin7" and trip.defect() <= 1e-10
     assert max(abs(z) for z in moved.c.coords[2:]) <= 1e-9
+    # T2 fixes e_1: the real part of c stays
+    assert abs(moved.c.coords[0] - t.c.coords[0]) <= 1e-12 * abs(t.c.coords[0])
+    assert record.iterations >= 1 and record.restarts == 0
     # c already in the plane: the move is near-trivial on c
-    trip2, again = move_c_to_plane(moved, target=1)
+    _, again, _ = move_c_to_plane(moved, rng, "again", target=1)
     assert max(abs(z) for z in again.c.coords[2:]) <= 1e-9
-    # real c takes the degenerate branch: identity move
+    # real c is accepted at once: identity move
     real_c = HermitianTriple(C, 3, t.lambdas, t.a, t.b,
                              cayley.embed_scalar(C, 3, 0.7 + 0.1j))
-    trip3, unchanged = move_c_to_plane(real_c, target=1)
-    assert np.array_equal(trip3.t1, np.eye(8))
+    (_, trip3), unchanged, record3 = move_c_to_plane(real_c, rng, "real", target=1)
+    assert np.array_equal(trip3.t1, np.eye(8)) and np.array_equal(trip3.t2, np.eye(8))
     assert unchanged == real_c
+    assert (record3.iterations, record3.restarts) == (0, 0)
 
 
 def test_move_c_isotropic_raises():
@@ -93,8 +97,9 @@ def test_move_c_isotropic_raises():
     t = random_generic_triple(rng)
     iso = AlgebraElement(C, 3, (0.3 + 0j, 1 + 0j, 1j, 0j, 0j, 0j, 0j, 0j))
     bad = HermitianTriple(C, 3, t.lambdas, t.a, t.b, iso)
-    with pytest.raises(NonGenericInput):
-        move_c_to_plane(bad, target=1)
+    with pytest.raises(NonGenericInput) as info:
+        move_c_to_plane(bad, rng, "isotropic c", target=1)
+    assert info.value.step == "isotropic c"
 
 
 def test_stabilizer_solve_already_satisfied():
@@ -102,8 +107,7 @@ def test_stabilizer_solve_already_satisfied():
     t = random_generic_triple(rng)
     in_span = AlgebraElement(C, 3, (0.4 - 0.1j, 0.9 + 0.3j, 0j, 0j, 0j, 0j, 0j, 0j))
     t = HermitianTriple(C, 3, t.lambdas, in_span, t.b, t.c)
-    move, moved, record = stabilizer_solve(t, rng, "already satisfied",
-                                           span_w=t.a, span_allowed=(0, 1))
+    move, moved, record = stabilizer_solve(t, rng, "already satisfied", "a", (0, 1))
     # zero chart parameters are accepted at iteration 0: the move is trivial
     assert np.linalg.norm(np.abs(move[1].t1) - np.eye(8)) < 1e-9
     assert (record.iterations, record.restarts) == (0, 0)
@@ -113,8 +117,8 @@ def test_stabilizer_solve_already_satisfied():
 def test_stabilizer_solve_pair_condition():
     rng = random.Random(8)
     t = random_generic_triple(rng)
-    move, moved, record = stabilizer_solve(t, rng, "steer to plane",
-                                           span_w=t.a, span_allowed=(1, 6), steer=(1, 6))
+    move, moved, record = stabilizer_solve(t, rng, "steer to plane", "a", (1, 6),
+                                           steer=(1, 6))
     trip = move[1]
     assert trip.defect() <= 1e-10
     # T2 sends e2 to e7 exactly
@@ -308,8 +312,8 @@ def test_stabilizer_solve_lifts_at_most_once(monkeypatch, steer, allowed, most):
 
     monkeypatch.setattr(symmetry, "fast_right_companion", counted)
     t = random_generic_triple(random.Random(15))
-    move, moved, record = stabilizer_solve(t, random.Random(0), "counted",
-                                           span_w=t.a, span_allowed=allowed, steer=steer)
+    move, moved, record = stabilizer_solve(t, random.Random(0), "counted", "a", allowed,
+                                           steer=steer)
     assert len(calls) <= most
     assert record.iterations >= 1 and record.residual <= 1e-10 * np.linalg.norm(t.a.coords)
 
@@ -327,36 +331,51 @@ def test_stabilizer_solve_restarts_after_a_failed_certificate(monkeypatch):
 
     monkeypatch.setattr(TrialityTriple, "certified", flaky)
     t = random_generic_triple(random.Random(16))
-    move, moved, record = stabilizer_solve(t, random.Random(0), "flaky",
-                                           span_w=t.a, span_allowed=(0,))
+    move, moved, record = stabilizer_solve(t, random.Random(0), "flaky", "a", (0,))
     assert failures and record.restarts == 1
     assert move[1].defect() <= 1e-10
 
 
-def test_move_c_to_plane_maps_lift_failures_to_non_generic(monkeypatch):
-    def fail(ring, t2):
-        raise LiftError("forced")
+def test_full_reduction_lifts_nothing(monkeypatch):
+    # every Spin7 move of the word is a product of chart-pair exponentials
+    calls = []
+    lift = symmetry.fast_right_companion
 
-    monkeypatch.setattr(reduce, "lift_right_companion", fail)
-    t = random_generic_triple(random.Random(17))
-    with pytest.raises(NonGenericInput) as info:
-        move_c_to_plane(t, target=1)
-    assert info.value.step == "move_c_to_plane"
+    def counted(ring, t2):
+        calls.append(1)
+        return lift(ring, t2)
+
+    monkeypatch.setattr(symmetry, "fast_right_companion", counted)
+    t = random_generic_triple(random.Random(18))
+    word = reduce_to_identity(t, tol=1e-6, seed=0)
+    assert word.residual <= 1e-6 and calls == []
+    # both c-moves are solved, and recorded in the transcript's solver list
+    solved = [label for label, _ in word.solver]
+    assert "c to (1,i) plane" in solved and "b-octonion to (1,i) plane" in solved
+
+
+@pytest.mark.parametrize("steer", [(1, 6), (6, 1), (2, 5)])
+def test_quarter_turn_base_steers_exactly(steer):
+    t1, t2 = reduce._quarter_turn(*steer)
+    assert triality_defect(C, t1, t2) <= 1e-14
+    src, dst = steer
+    assert np.max(np.abs(t2[:, src] - np.eye(8)[dst])) <= 1e-15
+    assert np.max(np.abs(t2[:, 0] - np.eye(8)[0])) <= 1e-15
 
 
 def test_ill_conditioned_reflection_pair_does_not_escape_as_lift_error():
-    # draw 172 of this stream has a reflection pair whose lift certificate
-    # reads about 1e-9, above LIFT_TOL: it reduces or aborts as non-generic
+    # draw 172 of this stream once aborted: its c-move was a reflection pair
+    # whose complex lift certificate read 1.26e-9, above LIFT_TOL.  The
+    # c-moves are chart-pair exponentials now, and the draw reduces.
     rng = random.Random(77)
     for d in range(173):
         s = 10 ** rng.uniform(-1, 6) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
         pt = random_generic_triple(rng).scale(s)
-    try:
-        word = reduce_to_identity(pt, tol=1e-6, seed=172)
-    except NonGenericInput as exc:
-        assert exc.step == "move_c_to_plane"
-    else:
-        assert distance_to_identity(replay(word, pt)) <= 1e-6
+    word = reduce_to_identity(pt, tol=1e-6, seed=172)
+    assert distance_to_identity(replay(word, pt)) <= 1e-6
+    for kind, payload in word.moves:
+        if kind == "spin7":
+            assert payload.defect() <= 1e-10
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)

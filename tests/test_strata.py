@@ -14,7 +14,8 @@ from octjordan.strata import (_INVARIANTS, EXPECTED_CORANK, LEADING_TOL,
                               RESIDUAL_TOL, Hypersurface, SamplingError,
                               _census_chunk, _merge_chunks, corank_census,
                               sample_lanes, sample_on, surface_value)
-from octjordan.symmetry import random_spin7, spin7_act
+from octjordan.reduce import chart_pair, expm
+from octjordan.symmetry import TrialityTriple, spin7_act
 
 C = ComplexField()
 PAIRS = list(EXPECTED_CORANK)
@@ -208,7 +209,10 @@ def test_census_determinism_and_merge_consistency():
 
 def test_group_moves_preserve_corank():
     rng = derive_rng(0, "movecorank")
-    trip = random_spin7(C, rng)
+    a1, a2 = chart_pair(None)
+    theta = np.array([complex(rng.gauss(0, 0.5), rng.gauss(0, 0.5)) for _ in range(len(a2))])
+    trip = TrialityTriple(C, expm(np.tensordot(theta, a1, 1)),
+                          expm(np.tensordot(theta, a2, 1))).certified()
     for _ in range(3):
         t = sample_on(Hypersurface.TWISTED_SEXTIC, rng)
         moved = spin7_act(trip, t)
