@@ -4,28 +4,38 @@ The sextic is expanded as an honest polynomial in the 27 coordinates by
 running the Jordan-algebra formulas with sparse-polynomial coefficients;
 the squared associator enters through the Gram-determinant identity
 |[c,b,a]|^2 = 4 (Gram(Im c, Im b, Im a) - phi^2), which keeps the
-intermediate term count down.  Restricting the 27 partial derivatives
-through a random linear map F_p^6 -> F_p^27 and multiplying by the six
-chart variables gives a 162 x 462 coefficient matrix in the degree-6
-space of six variables; its rank r bounds the automorphism Lie algebra
-of the sextic by dim <= 162 - r.  At a generic point the rank is 133,
-which matches 162 - 29 with 29 = dim SO7 + dim SL3.
+intermediate term count down.  SparsePoly's operators work on unreduced
+integer coefficients and PolyRing.reduce maps them mod p, so the algebra
+code takes the same sum-then-reduce product on polynomial scalars as on
+field elements.  Products add exponents packed one byte per variable.
 
-The restriction splits every quintic term as cubic x quadratic.  A plan,
-built once from the gradient, stores levels 1-3 of the prefix tree of the
-terms' sorted index multisets as int64 arrays (one parent slot and one
-last variable per node) and each term's last two indices; it does not
-depend on the chart, so every retry reuses it.  For a chart, levels 1-3
-of the tree are expanded as whole batches (56 cubic coefficients per
-node); each term's last two indices and its coefficient give a
-quadratic (21 coefficients), and each partial is one matmul of its terms'
-cubics with their quadratics, scattered into the 252 quintic slots.  No
-degree-4 node is expanded.  Elementwise products are reduced
-mod p before they are summed, and linalg.matmul keeps its sums in int64,
-so every prime PolyRing accepts stays in int64.
+The bound.  Through a random linear chart x = m z, m: F_p^6 -> F_p^27,
+the 162 products z_j dS/dx_i(m z) are degree-6 polynomials in the six
+chart variables; if they span a space of dimension r, the automorphism
+Lie algebra of the sextic has dim <= 162 - r.  At a generic point
+r = 133, which matches 162 - 29 with 29 = dim SO7 + dim SL3.
 
-The sextic itself is expanded with SparsePoly products that add exponents
-packed one byte per variable into Python ints.
+The span is ranked at points, not on coefficients.  The gradient is
+evaluated at CHART_ROWS random points z_k of the chart, and the rank is
+taken of the 162 x 162 matrix with entry ((i, j), k) = z_jk dS/dx_i(m z_k).
+That matrix is C V, with C the 162 x 462 coefficient matrix of the
+products in the degree-6 monomials of z and V the 462 monomials evaluated
+at the points, so its rank is at most rank C = r: an evaluation rank never
+exceeds the coefficient rank, and 162 minus it is still a valid bound.
+For p > 6 the two ranks agree unless the points are a zero of a nonzero
+polynomial of degree 6 r in their coordinates (an r x r minor of C V),
+which by Schwartz (J. ACM 27, 1980) has probability at most 6 r / p.  That
+bound says nothing at p = 313, but there the ranks agreed on the first
+chart of every seed 0-399 for S_ODM (133) and 0-149 for the twisted
+sextic (104).  At p = 3, where z^3 = z on F_3, they part: the retries of
+seed 1 read 129, 123 and 132 where the coefficient ranks are 133 three
+times, so the bound reads 30, which still holds.
+
+Each partial is evaluated at every point at once, as the sum over its
+terms of the coefficient times five coordinates gathered from x.  The
+products stay unreduced while the partial's sum fits in int64 (p = 313)
+and are reduced after every factor otherwise (p = 2^31 - 1), so every
+prime PolyRing accepts stays in int64.
 
 The rank over F_p at a rational point lower-bounds the characteristic-0
 rank at the same point (semicontinuity), so the reported bound uses the
@@ -39,7 +49,6 @@ from __future__ import annotations
 import time
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from typing import NamedTuple
 
 import numpy as np
 
@@ -51,12 +60,14 @@ from .jordan import HermitianTriple, det_cartan, twisted_sextic
 N_VARS = 27
 CHART_VARS = 6
 CHART_ROWS = N_VARS * CHART_VARS          # 162
-DEGREE6_DIM = 462                         # monomials of degree 6 in 6 vars
 SO7_SL3_DIM = 29                          # 21 + 8
 
 
 class SparsePoly:
-    """Multivariate polynomial over F_p: exponent tuple -> nonzero coefficient."""
+    """Multivariate polynomial: exponent tuple -> nonzero integer coefficient.
+
+    The operators +, -, unary - and * leave the coefficients unreduced;
+    mod(p) and the methods that take p reduce them mod p."""
 
     __slots__ = ("n", "terms")
 
@@ -95,23 +106,23 @@ class SparsePoly:
     def __len__(self):
         return len(self.terms)
 
-    def add(self, other: "SparsePoly", p: int) -> "SparsePoly":
+    def __add__(self, other: "SparsePoly") -> "SparsePoly":
         out = dict(self.terms)
         for e, c in other.terms.items():
-            v = (out.get(e, 0) + c) % p
+            v = out.get(e, 0) + c
             if v:
                 out[e] = v
             else:
                 out.pop(e, None)
         return SparsePoly(self.n, out)
 
-    def neg(self, p: int) -> "SparsePoly":
-        return SparsePoly(self.n, {e: p - c for e, c in self.terms.items()})
+    def __neg__(self) -> "SparsePoly":
+        return SparsePoly(self.n, {e: -c for e, c in self.terms.items()})
 
-    def sub(self, other: "SparsePoly", p: int) -> "SparsePoly":
-        return self.add(other.neg(p), p)
+    def __sub__(self, other: "SparsePoly") -> "SparsePoly":
+        return self + -other
 
-    def mul(self, other: "SparsePoly", p: int) -> "SparsePoly":
+    def __mul__(self, other: "SparsePoly") -> "SparsePoly":
         """Product.  Each exponent is packed one byte per variable into an
         int, so adding the packed ints adds the exponents; the output keys
         are unpacked into tuples once, after the coefficients are summed."""
@@ -127,12 +138,23 @@ class SparsePoly:
             for k2, c2 in right:
                 k = k1 + k2
                 acc[k] = get(k, 0) + c1 * c2
-        out = {}
-        for k, v in acc.items():
-            v %= p
-            if v:
-                out[tuple(k.to_bytes(n, "little"))] = v
-        return SparsePoly(n, out)
+        return SparsePoly(n, {tuple(k.to_bytes(n, "little")): v for k, v in acc.items() if v})
+
+    def mod(self, p: int) -> "SparsePoly":
+        """The coefficients reduced mod p, zeros dropped."""
+        return SparsePoly(self.n, {e: v for e, c in self.terms.items() if (v := c % p)})
+
+    def add(self, other: "SparsePoly", p: int) -> "SparsePoly":
+        return (self + other).mod(p)
+
+    def neg(self, p: int) -> "SparsePoly":
+        return (-self).mod(p)
+
+    def sub(self, other: "SparsePoly", p: int) -> "SparsePoly":
+        return (self - other).mod(p)
+
+    def mul(self, other: "SparsePoly", p: int) -> "SparsePoly":
+        return (self * other).mod(p)
 
     def scale(self, c: int, p: int) -> "SparsePoly":
         c %= p
@@ -167,10 +189,6 @@ class SparsePoly:
 class PolyRing:
     """Ring-contract adapter so the algebra code runs on SparsePoly scalars."""
 
-    # SparsePoly scalars have no arithmetic operators, so AlgebraElement
-    # products take one ring call per term instead of a sum and a reduce
-    reduce = None
-
     def __init__(self, p: int, n: int):
         if PrimeField(p).dtype is not np.int64:
             raise ValueError("formal expansion requires an int64-safe prime")
@@ -184,6 +202,9 @@ class PolyRing:
 
     def variable(self, i: int) -> SparsePoly:
         return SparsePoly.variable(self.n, i)
+
+    def reduce(self, a):
+        return a.mod(self.p)
 
     def add(self, a, b):
         return a.add(b, self.p)
@@ -245,7 +266,11 @@ def gradient(poly: SparsePoly, prime: int) -> list:
 
 @lru_cache(maxsize=None)
 def _monomials(degree: int) -> tuple:
-    """Degree-d monomials in the 6 chart variables, graded-lex, fixed."""
+    """Degree-d monomials in the 6 chart variables, graded-lex, fixed.
+
+    _monomials, _mono_index and _raise_map build no part of the bound; they
+    index the coefficient matrix of the tests' reference restriction and
+    are warmed up by the benchmark's set-up probe."""
     out = []
     for combo in combinations_with_replacement(range(CHART_VARS), degree):
         e = [0] * CHART_VARS
@@ -272,124 +297,50 @@ def _raise_map(degree: int, var: int) -> np.ndarray:
     return out
 
 
-class RestrictionPlan(NamedTuple):
-    """Cubic prefix tree of the gradient's terms, independent of the chart.
+def gradient_at(partials: list, x: np.ndarray, prime: int) -> np.ndarray:
+    """Every (homogeneous) partial at every column of x, mod prime: row i
+    holds partial i at the points x[:, k].
 
-    Every term of a quintic partial is a sorted multiset of five variable
-    indices.  Level k (k = 1..3) holds the distinct length-k prefixes:
-    parent[k-1][s] is the level-(k-1) slot of prefix s with its last index
-    dropped, last[k-1][s] is that last index.  terms has one row per term,
-    (partial, level-3 slot, coefficient), grouped by partial; tails holds
-    the term's fourth and fifth indices.
-    """
-
-    parent: tuple
-    last: tuple
-    terms: np.ndarray
-    tails: np.ndarray
-    n_partials: int
-
-
-def restriction_plan(partials: list) -> RestrictionPlan:
-    """The restriction plan of the partials' terms; every term must have degree 5."""
-    owner, exps, coeffs = [], [], []
+    A partial is one sum over its terms of the coefficient times the
+    term's coordinates gathered from x, one factor at a time.  The products
+    stay unreduced when the partial's whole sum fits in int64 and are
+    reduced after every factor otherwise."""
+    if PrimeField(prime).dtype is not np.int64:
+        raise ValueError("the gradient evaluation requires an int64-safe prime")
+    x = np.asarray(x, dtype=np.int64) % prime
+    out = np.zeros((len(partials), x.shape[1]), dtype=np.int64)
     for i, part in enumerate(partials):
-        owner += [i] * len(part)
-        exps += part.terms.keys()
-        coeffs += part.terms.values()
-    n = partials[0].n
-    exps = np.array(exps, dtype=np.int64).reshape(len(owner), n)
-    degrees = exps.sum(axis=1)
-    bad = np.flatnonzero(degrees != 5)
-    if bad.size:
-        raise ValueError(f"partial {owner[bad[0]]} has a term of degree "
-                         f"{degrees[bad[0]]}; the restriction needs homogeneous "
-                         "quintic partials")
-    multisets = np.repeat(np.tile(np.arange(n), len(exps)), exps.ravel()).reshape(-1, 5)
-    parent, last = [], []
-    key = np.zeros(len(exps), dtype=np.int64)     # prefix as base-n digits
-    slot = np.zeros(len(exps), dtype=np.int64)    # level 0: the empty prefix
-    for k in range(3):
-        key = key * n + multisets[:, k]
-        _, first, slot_k = np.unique(key, return_index=True, return_inverse=True)
-        parent.append(slot[first])
-        last.append(multisets[first, k])
-        slot = slot_k
-    terms = np.column_stack([owner, slot, coeffs]).astype(np.int64)
-    return RestrictionPlan(tuple(parent), tuple(last), terms, multisets[:, 3:], len(partials))
+        if part.is_zero():
+            continue
+        exps = np.array(list(part.terms), dtype=np.int64)
+        degrees = exps.sum(axis=1)
+        if np.any(degrees != degrees[0]):
+            raise ValueError(f"partial {i} is not homogeneous")
+        factors = np.repeat(np.tile(np.arange(part.n), len(exps)), exps.ravel())
+        factors = factors.reshape(len(exps), -1)
+        acc = np.array(list(part.terms.values()), dtype=np.int64)[:, None] % prime
+        lazy = len(exps) * (prime - 1) ** (factors.shape[1] + 1) < 1 << 63
+        for var in factors.T:
+            acc = acc * x[var] if lazy else acc * x[var] % prime
+        out[i] = acc.sum(axis=0) % prime
+    return out
 
 
-def _raise_level(prev: np.ndarray, coef: np.ndarray, degree: int, p: int) -> np.ndarray:
-    """Columns prev (degree d-1, one per node) times the linear forms
-    sum_j coef[j] z_j, in the degree-d basis.  Every product is reduced
-    before it is added, so any int64-safe p stays in int64."""
-    out = np.zeros((len(_monomials(degree)), prev.shape[1]), dtype=np.int64)
-    for j in range(CHART_VARS):
-        out[_raise_map(degree, j)] += prev * coef[j] % p
-    return out % p
-
-
-def _quadratics(m: np.ndarray, p: int) -> np.ndarray:
-    """(n, n, 21): the degree-2 coefficients of (m[u] . z)(m[v] . z)."""
-    out = np.zeros((len(m), len(m), len(_monomials(2))), dtype=np.int64)
-    for a in range(CHART_VARS):
-        for b in range(CHART_VARS):
-            # degree-1 slot a is z_a, so this is the slot of z_a z_b
-            out[:, :, _raise_map(2, b)[a]] += np.outer(m[:, a], m[:, b]) % p
-    return out % p
-
-
-@lru_cache(maxsize=None)
-def _product_slots() -> np.ndarray:
-    """(56, 21) table: degree-5 slot of (cubic monomial i) * (quadratic j)."""
-    idx = _mono_index(5)
-    return np.array([[idx[tuple(u + v for u, v in zip(e3, e2))] for e2 in _monomials(2)]
-                     for e3 in _monomials(3)], dtype=np.int64)
-
-
-def _restrict(plan: RestrictionPlan, m: np.ndarray, p: int) -> np.ndarray:
-    """The partials restricted through x_i <- sum_j m[i,j] z_j, one row per
-    partial, in the fixed graded-lex basis of degree-5 monomials.
-
-    Every term is split as cubic x quadratic.  Levels 1-3 of the prefix
-    tree are expanded as whole batches (56 cubic coefficients per node);
-    each term's quadratic is the product of the chart rows of its last two
-    indices, one scaled by the coefficient (21 coefficients).  A partial's
-    restriction is then one product of its terms' cubic columns (56 x n)
-    with their quadratics (n x 21), scattered into the 252 quintic slots,
-    so no degree-4 node is ever expanded.  Elementwise products are
-    reduced before they are summed and linalg.matmul keeps its sums in
-    int64, so every prime PolyRing accepts stays in int64."""
-    m = np.asarray(m, dtype=np.int64) % p
-    level = np.ones((1, 1), dtype=np.int64)
-    for k in range(3):
-        level = _raise_level(level[:, plan.parent[k]], m[plan.last[k]].T, k + 1, p)
-    owner, slot, coeff = plan.terms.T
-    cubic = level.T[slot]
-    quad = _quadratics(m, p)[plan.tails[:, 0], plan.tails[:, 1]] * coeff[:, None] % p
-    field = PrimeField(p)
-    table = _product_slots()
-    bounds = np.searchsorted(owner, np.arange(plan.n_partials + 1))
-    out = np.zeros((plan.n_partials, len(_monomials(5))), dtype=np.int64)
-    for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        np.add.at(out[i], table, linalg.matmul(field, cubic[lo:hi].T, quad[lo:hi]))
-    return out % p
-
-
-def jacobian_image_rank(plan: RestrictionPlan, m: np.ndarray, prime: int, *,
+def jacobian_image_rank(partials: list, m: np.ndarray, points: np.ndarray, prime: int, *,
                         stage_sec: dict | None = None) -> int:
-    """Rank of the 162 x 462 coefficient matrix of z_j * (dS/dx_i restricted
-    through m), in the degree-6 space of the six chart variables.
+    """Rank of the matrix with entry ((i, j), k) = z_jk dS/dx_i(m z_k), the
+    products z_j dS/dx_i on the chart x = m z evaluated at the columns z_k
+    of points (6 x K).
 
-    stage_sec, when given, accumulates the seconds spent building the
+    stage_sec, when given, accumulates the seconds spent evaluating the
     matrix ("restrict") and ranking it ("rank")."""
     start = time.perf_counter()
-    restricted = _restrict(plan, m, prime)
-    rows = np.zeros((len(restricted), CHART_VARS, DEGREE6_DIM), dtype=np.int64)
-    for j in range(CHART_VARS):
-        rows[:, j, _raise_map(6, j)] = restricted
+    field = PrimeField(prime)
+    z = field.array(points)
+    grad = gradient_at(partials, linalg.matmul(field, field.array(m), z), prime)
+    rows = (grad[:, None, :] * z % prime).reshape(-1, z.shape[1])
     built = time.perf_counter()
-    out = linalg.rank(PrimeField(prime), rows.reshape(-1, DEGREE6_DIM))
+    out = linalg.rank(field, rows)
     if stage_sec is not None:
         stage_sec["restrict"] = stage_sec.get("restrict", 0.0) + built - start
         stage_sec["rank"] = stage_sec.get("rank", 0.0) + time.perf_counter() - built
@@ -401,9 +352,16 @@ def random_restriction(prime: int, rng) -> np.ndarray:
                      for _ in range(N_VARS)], dtype=np.int64)
 
 
+def random_points(prime: int, rng) -> np.ndarray:
+    """CHART_ROWS points of F_p^6, drawn one point at a time, as the
+    columns of a 6 x 162 array."""
+    return np.array([[rng.randrange(prime) for _ in range(CHART_VARS)]
+                     for _ in range(CHART_ROWS)], dtype=np.int64).T
+
+
 def aut_dimension_bound(prime: int, seed: int, retries: int,
                         invariant: str = "sodm") -> dict:
-    """Expansion, restriction and rank at `retries` random points; the bound
+    """Expansion, then the evaluation rank at `retries` random charts; the bound
     dim aut(sextic) <= 162 - max rank.  invariant = "twisted_sextic" runs
     the same pipeline on the twisted-problem sextic (no published target)."""
     if invariant not in ("sodm", "twisted_sextic"):
@@ -411,13 +369,14 @@ def aut_dimension_bound(prime: int, seed: int, retries: int,
     start = time.perf_counter()
     poly = expand_sodm(prime) if invariant == "sodm" else expand_twisted_sextic(prime)
     expand_elapsed = time.perf_counter() - start
-    plan = restriction_plan(gradient(poly, prime))
+    partials = gradient(poly, prime)
     ranks = []
     stage_sec = {"restrict": 0.0, "rank": 0.0}
     for k in range(retries):
         rng = derive_rng(seed, "autdim", invariant, k)
         m = random_restriction(prime, rng)
-        ranks.append(jacobian_image_rank(plan, m, prime, stage_sec=stage_sec))
+        points = random_points(prime, rng)
+        ranks.append(jacobian_image_rank(partials, m, points, prime, stage_sec=stage_sec))
     report = {
         "prime": prime,
         "seed": seed,

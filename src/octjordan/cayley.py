@@ -9,7 +9,8 @@ e_1 the unit; the quaternions sit at coords 1..4 and l = e_5.
 
 Scalars come from a ring object (see :mod:`octjordan.coeffs`); everything
 here works identically over a prime field, over complex floats, or over a
-polynomial ring.
+polynomial ring, through one product path: sum with Python operators,
+reduce once.
 """
 
 from __future__ import annotations
@@ -155,14 +156,12 @@ class AlgebraElement:
         coordinates must be Python ints (numpy int64 would overflow); over C,
         and on lane-stacked complex128 scalars, the order of the additions
         is that of a term-by-term ring.add/ring.sub loop, so the result is
-        bit-identical to it.  A ring whose scalars have no operators sets
-        `reduce = None` (autdim.PolyRing) and takes one ring call per term.
+        bit-identical to it.  Over autdim.PolyRing the scalars are sparse
+        polynomials whose operators leave the coefficients unreduced.
         """
         self._require_same(other)
         r = self.ring
         reduce = r.reduce
-        if reduce is None:
-            return self._ring_call_product(other)
         x, y = self.coords, other.coords
         out = []
         for terms in _product_terms(self.level):
@@ -170,19 +169,6 @@ class AlgebraElement:
             for i, j, plus in terms:
                 acc = acc + x[i] * y[j] if plus else acc - x[i] * y[j]
             out.append(reduce(acc))
-        return AlgebraElement(r, self.level, tuple(out))
-
-    def _ring_call_product(self, other):
-        r = self.ring
-        tab = mult_table(self.level)
-        out = [r.zero] * len(self.coords)
-        for i, xi in enumerate(self.coords):
-            if r.is_zero(xi):
-                continue
-            for j, yj in enumerate(other.coords):
-                s, k = tab[i][j]
-                term = r.mul(xi, yj)
-                out[k] = r.add(out[k], term) if s > 0 else r.sub(out[k], term)
         return AlgebraElement(r, self.level, tuple(out))
 
     def scale(self, s):
@@ -236,14 +222,9 @@ def bilinear(x: AlgebraElement, y: AlgebraElement):
     """The symmetric form polarizing norm_sq: B(x, y) = sum_i x_i y_i.
 
     Summed in coordinate order from ring.zero with Python operators and
-    reduced once, like the product; a ring with `reduce = None` takes one
-    ring call per term."""
+    reduced once, like the product."""
     r = x.ring
     acc = r.zero
-    if r.reduce is None:
-        for a, b in zip(x.coords, y.coords):
-            acc = r.add(acc, r.mul(a, b))
-        return acc
     for a, b in zip(x.coords, y.coords):
         acc = acc + a * b
     return r.reduce(acc)

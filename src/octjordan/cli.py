@@ -149,7 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--input", type=str, required=True)
     e.add_argument("--prime", type=int, default=None,
                    help="evaluate over F_p (default: complex floats)")
-    e.add_argument("--tol", type=float, default=1e-9)
     e.add_argument("--out", type=str, default=None)
 
     return p
@@ -214,7 +213,7 @@ def _cmd_eval(args) -> int:
     if args.prime is not None:
         ring = PrimeField(_checked_prime(args.prime))
     else:
-        ring = ComplexField(tol=args.tol)
+        ring = ComplexField()
     triple = _load_point(ring, args.input)
     value = _INVARIANTS[args.invariant](triple)
     emit_report({"invariant": args.invariant,

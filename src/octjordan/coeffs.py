@@ -20,9 +20,10 @@ the field.  Both fields provide:
   decode raises ValueError on bools, floats as residues and non-finite
   parts.
 
-autdim.PolyRing has the scalar operations on sparse polynomials but no
-dtype, array, div or JSON form, and sets reduce = None because its
-scalars have no operators (the algebra code then calls the ring per term).
+autdim.PolyRing has the scalar operations on sparse polynomials and
+reduce (coefficients mod p, zeros dropped), but no dtype, array, div or
+JSON form.  Its scalars' operators leave the coefficients unreduced, so
+the algebra code sums and reduces once on every ring.
 """
 
 from __future__ import annotations

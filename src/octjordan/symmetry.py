@@ -28,7 +28,7 @@ import numpy as np
 
 from . import cayley, linalg
 from .cayley import AlgebraElement
-from .coeffs import ComplexField
+from .coeffs import ComplexField, PrimeField
 from .jordan import HermitianTriple, to_full_matrix
 
 LIFT_TOL = 1e-10
@@ -135,8 +135,11 @@ def fast_right_companion(ring, t2: np.ndarray) -> np.ndarray:
 
     The kernel of the first-column system is the double-cover fiber, so it
     must be one-dimensional; scaling its vector to unit norm needs a square
-    root, which F_p may lack (NonResidueError).
+    root, which F_p may lack (NonResidueError).  The lift runs over F_p
+    only; any other ring is a ValueError.
     """
+    if not isinstance(ring, PrimeField):
+        raise ValueError(f"the triality lift runs over F_p, not over {ring!r}")
     ker = linalg.nullspace(ring, _first_column_system(ring, t2))
     if ker.shape[1] != 1:
         raise LiftError(f"right companion: solution dimension {ker.shape[1]}, "

@@ -6,7 +6,8 @@ requires the defect to be exactly zero at every one of them.  A nonzero
 defect polynomial of degree d survives a single trial with probability at
 most d/p, so the per-check failure bound reported is trials * d / p (a
 union bound; with p = 2^31 - 1 and degree 24 it is far below 1e-5 at 100
-trials).
+trials), capped at 1.  A check that ran no trial reports 1, and a suite
+that selects no check is refused.
 
 Degrees are recorded with respect to the hermitian-triple coordinates; in
 the equivariance checks the group element is sampled separately and the
@@ -406,7 +407,8 @@ def _run_check(prime: int, seed: int, trials: int, cid: str) -> CheckResult:
         except CheckFailure as exc:
             passed, detail = False, f"trial {trial}: {exc}"
             break
-    bound = min(1.0, trials * degree / prime)
+    # a check that ran no trial has tested nothing, so it bounds nothing
+    bound = min(1.0, trials * degree / prime) if trials else 1.0
     return CheckResult(cid, name, passed, trials, degree, bound,
                        time.perf_counter() - c_start, detail, warnings)
 
@@ -428,6 +430,8 @@ def run_suite(prime: int, seed: int, trials: int, checks=None,
             raise ValueError(f"unknown check ids: {sorted(unknown)}")
     ids = [cid for cid, *_ in _CHECKS
            if wanted is None or cid.lower() in wanted]
+    if not ids:
+        raise ValueError("no check selected")
     t_start = time.perf_counter()
     if jobs > 1 and len(ids) > 1:
         import multiprocessing

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from octjordan import linalg
 from octjordan.autdim import (CHART_ROWS, CHART_VARS, PolyRing, SparsePoly,
-                              _monomials, _raise_map, _restrict,
-                              aut_dimension_bound, expand_sodm,
-                              expand_twisted_sextic, gradient,
-                              jacobian_image_rank, random_restriction,
-                              restriction_plan, symbolic_triple)
+                              _monomials, _raise_map, aut_dimension_bound,
+                              expand_sodm, expand_twisted_sextic, gradient,
+                              gradient_at, jacobian_image_rank, random_points,
+                              random_restriction, symbolic_triple)
 from octjordan.coeffs import PrimeField, derive_rng
 from octjordan.jordan import random_triple, s_odm
 
@@ -26,6 +26,22 @@ def test_sparse_poly_arithmetic():
     # cancellation removes entries
     r = x.sub(x, p)
     assert len(r) == 0
+
+
+def test_sparse_poly_operators_leave_coefficients_unreduced():
+    p = 7
+    x = SparsePoly.variable(2, 0)
+    y = SparsePoly.variable(2, 1)
+    five = SparsePoly.const(2, 5, p)
+    q = five * x * x - y * five + five
+    assert q.terms == {(2, 0): 5, (0, 1): -5, (0, 0): 5}
+    assert (q * q).coefficient((0, 2)) == 25
+    assert (-q).terms == {(2, 0): -5, (0, 1): 5, (0, 0): -5}
+    assert (q + -q).is_zero()
+    # reduce maps the coefficients mod p and drops the zeros
+    ring = PolyRing(p, 2)
+    assert ring.reduce(q * q + q).terms == (q * q + q).mod(p).terms
+    assert ring.reduce(q - q.scale(5, p) * SparsePoly.const(2, 3, p)).is_zero()
 
 
 def _reference_mul(a, b, p):
@@ -118,35 +134,59 @@ def test_expansion_agrees_with_direct_evaluation(prime):
         assert s.eval(t.flatten(), prime) == s_odm(t)
 
 
+def _chart(prime, rng):
+    return random_restriction(prime, rng), random_points(prime, rng)
+
+
 def test_jacobian_rank_zero_map():
     p = 313
-    plan = restriction_plan(gradient(expand_sodm(p), p))
-    assert jacobian_image_rank(plan, np.zeros((27, 6), dtype=np.int64), p) == 0
+    points = random_points(p, derive_rng(0, "zero-map"))
+    zero = np.zeros((27, 6), dtype=np.int64)
+    assert jacobian_image_rank(gradient(expand_sodm(p), p), zero, points, p) == 0
 
 
 def test_jacobian_rank_133_mod_313():
     p = 313
-    plan = restriction_plan(gradient(expand_sodm(p), p))
-    rng = derive_rng(0, "rank313")
-    r = jacobian_image_rank(plan, random_restriction(p, rng), p)
+    m, points = _chart(p, derive_rng(0, "rank313"))
+    assert points.shape == (CHART_VARS, CHART_ROWS)
+    r = jacobian_image_rank(gradient(expand_sodm(p), p), m, points, p)
     assert r == 133
     assert r <= CHART_ROWS
 
 
 def test_jacobian_rank_133_survives_large_prime_rerun():
     # semicontinuity: rerunning over a large prime still reaches 133
-    plan = restriction_plan(gradient(expand_sodm(P31), P31))
-    rng = derive_rng(0, "rankbig")
-    assert jacobian_image_rank(plan, random_restriction(P31, rng), P31) == 133
+    m, points = _chart(P31, derive_rng(0, "rankbig"))
+    assert jacobian_image_rank(gradient(expand_sodm(P31), P31), m, points, P31) == 133
+
+
+@pytest.mark.parametrize("prime", [313, P31])
+def test_gradient_evaluation_matches_the_term_by_term_eval(prime):
+    # 313 keeps every product unreduced, 2^31 - 1 reduces after each factor
+    rng = derive_rng(0, "gradient-at", prime)
+    x = np.array([[rng.randrange(prime) for _ in range(4)] for _ in range(27)])
+    x[:, 0] = prime - 1                         # the largest products
+    for poly in (expand_sodm(prime), expand_twisted_sextic(prime)):
+        parts = gradient(poly, prime)
+        values = gradient_at(parts, x, prime)
+        assert values.shape == (27, 4)
+        for i, part in enumerate(parts):
+            assert values[i].tolist() == [part.eval(x[:, k].tolist(), prime)
+                                          for k in range(4)]
+    mixed = SparsePoly(27, {(1,) + (0,) * 26: 1, (2,) + (0,) * 26: 1})
+    with pytest.raises(ValueError, match="partial 1 is not homogeneous"):
+        gradient_at([SparsePoly.zero(27), mixed], x, prime)
+    with pytest.raises(ValueError, match="int64-safe"):
+        gradient_at(parts, x, 2**61 - 1)
 
 
 @pytest.mark.parametrize("prime", [313, P31])
 def test_restriction_evaluates_the_partials_on_the_chart(prime):
-    # row_i evaluated at z equals dS/dx_i evaluated at x = m z
+    # the reference restriction's row_i at z equals dS/dx_i at x = m z
     parts = gradient(expand_sodm(prime), prime)
     rng = derive_rng(0, "restrict", prime)
     m = random_restriction(prime, rng)
-    rows = _restrict(restriction_plan(parts), m, prime)
+    rows = _reference_restrict(parts, m, prime)
     assert rows.shape == (27, len(_monomials(5)))
     for _ in range(3):
         z = [rng.randrange(prime) for _ in range(CHART_VARS)]
@@ -165,10 +205,10 @@ def _reference_raise_level(prev, coef, degree, p):
 
 
 def _reference_restrict(partials, m, p):
-    """The term-by-term restriction, without a plan: every term's index
-    multiset is read from its partial, the chart rows of its five indices
-    are multiplied one linear factor at a time, and the scaled products
-    are summed per partial."""
+    """The term-by-term restriction: every term's index multiset is read
+    from its partial, the chart rows of its five indices are multiplied one
+    linear factor at a time, and the scaled products are summed per
+    partial."""
     m = np.asarray(m, dtype=np.int64) % p
     out = np.zeros((len(partials), len(_monomials(5))), dtype=np.int64)
     for i, part in enumerate(partials):
@@ -182,37 +222,30 @@ def _reference_restrict(partials, m, p):
     return out
 
 
-@pytest.mark.parametrize("prime", [313, P31])
-def test_restriction_matches_the_level_by_level_reference(prime):
-    partials = gradient(expand_sodm(prime), prime)
-    plan = restriction_plan(partials)
-    rng = derive_rng(0, "restrict-reference", prime)
-    charts = [random_restriction(prime, rng) for _ in range(3)]
-    charts.append(np.zeros((27, CHART_VARS), dtype=np.int64))
-    twin = random_restriction(prime, rng)
-    twin[:, 4] = twin[:, 1]
-    charts.append(twin)
-    top = np.full((27, CHART_VARS), prime - 1, dtype=np.int64)
-    charts.append(top)
-    for m in charts:
-        assert np.array_equal(_restrict(plan, m, prime), _reference_restrict(partials, m, prime))
-    # a gradient with fewer terms and a partial-to-term map of another shape
-    twisted = gradient(expand_twisted_sextic(prime), prime)
-    assert np.array_equal(_restrict(restriction_plan(twisted), charts[0], prime),
-                          _reference_restrict(twisted, charts[0], prime))
+def _coefficient_rank(partials, m, p):
+    """Rank of the 162 x 462 coefficient matrix of z_j dS/dx_i(m z) in the
+    degree-6 monomials of z."""
+    restricted = _reference_restrict(partials, m, p)
+    rows = np.zeros((len(restricted), CHART_VARS, len(_monomials(6))), dtype=np.int64)
+    for j in range(CHART_VARS):
+        rows[:, j, _raise_map(6, j)] = restricted
+    return linalg.rank(PrimeField(p), rows.reshape(CHART_ROWS, -1))
 
 
-def test_restriction_plan_rejects_a_non_quintic_partial():
+def test_evaluation_rank_matches_the_coefficient_rank():
     p = 313
-    ring = PolyRing(p, 27)
-    quintic = ring.variable(0)
-    for v in (1, 2, 3, 4):
-        quintic = quintic.mul(ring.variable(v), p)
-    quartic = SparsePoly(27, {(1, 1, 1, 1) + (0,) * 23: 3})
-    plan = restriction_plan([quintic, quintic])
-    assert plan.terms.shape == (2, 3)
-    with pytest.raises(ValueError, match="partial 1 has a term of degree 4"):
-        restriction_plan([quintic, quintic.add(quartic, p)])
+    rng = derive_rng(0, "evaluation-rank")
+    twin = random_restriction(p, rng)
+    twin[:, 4] = twin[:, 1]
+    for poly, generic in ((expand_sodm(p), 133), (expand_twisted_sextic(p), 104)):
+        partials = gradient(poly, p)
+        charts = [random_restriction(p, rng) for _ in range(2)]
+        charts += [np.zeros((27, CHART_VARS), dtype=np.int64), twin]
+        ranks = [(jacobian_image_rank(partials, m, random_points(p, rng), p),
+                  _coefficient_rank(partials, m, p)) for m in charts]
+        assert [a == b for a, b in ranks] == [True] * 4, ranks
+        assert [a for a, _ in ranks[:2]] == [generic] * 2
+        assert ranks[2] == (0, 0) and ranks[3][0] > 0
 
 
 def test_aut_dimension_bound_reports():

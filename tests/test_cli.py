@@ -36,6 +36,18 @@ def test_verify_unknown_check(capsys):
     assert code == 2
 
 
+def test_verify_with_no_check_selected_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--checks", ",", "--trials", "1")
+    assert code == 2 and out == ""
+    assert "no check selected" in err
+
+
+def test_verify_zero_trials_bounds_nothing(capsys):
+    code, out, _ = run(capsys, "verify", "--trials", "0", "--checks", "c1")
+    assert code == 0
+    assert [c["failure_bound"] for c in json.loads(out)["checks"]] == [1.0]
+
+
 def test_negative_counts_rejected(capsys):
     code, _, err = run(capsys, "verify", "--trials", "-1")
     assert code == 2 and "--trials" in err
@@ -100,6 +112,10 @@ def test_eval_identity(capsys, tmp_path):
                        "--input", str(path))
     assert code == 0
     assert json.loads(out)["value"] == [1.0, 0.0]
+    # eval has no tolerance: no invariant makes a zero test
+    code, _, _ = run(capsys, "eval", "--invariant", "det_cartan",
+                     "--input", str(path), "--tol", "1e-9")
+    assert code == 2
 
 
 def test_eval_field_mode(capsys, tmp_path):

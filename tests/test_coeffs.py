@@ -153,10 +153,9 @@ RING_DECISIONS_ALLOWED = {
     ("linalg", "nullspace"), ("linalg", "solve"), ("linalg", "inv"),
     # a count of failing pairs over F_p, a magnitude over C
     ("symmetry", "_pair_defect"),
-    # autdim.PolyRing scalars have no operators: one ring call per term
-    ("cayley", "__mul__"), ("cayley", "bilinear"),
-    # input guard: the reduction runs in complex arithmetic
-    ("reduce", "reduce_to_identity"),
+    # input guards: the reduction runs in complex arithmetic, the triality
+    # lift over F_p
+    ("reduce", "reduce_to_identity"), ("symmetry", "fast_right_companion"),
 }
 
 
@@ -177,7 +176,7 @@ def _is_reduce_none_test(node: ast.Compare) -> bool:
 def _ring_decisions(tree: ast.Module):
     """(function, line) of every isinstance test on a field class, every
     dtype= keyword that can select object and every test of a ring's
-    reduce against None (the PolyRing path)."""
+    reduce against None."""
     out = []
 
     def visit(node, func):

@@ -54,6 +54,17 @@ def test_lift_rejects_non_so7():
         lift_right_companion(F, bad)
 
 
+def test_lift_refuses_a_ring_other_than_a_prime_field():
+    # the lift runs over F_p; over C it stops before any elimination
+    rng = derive_rng(0, "complex-lift")
+    t = random_so7(C, rng)
+    for lift in (fast_right_companion, lift_right_companion, lift_left_companion):
+        with pytest.raises(ValueError, match="runs over F_p"):
+            lift(C, t)
+    with pytest.raises(ValueError, match="runs over F_p"):
+        random_spin7(C, rng)
+
+
 def test_kappa():
     assert np.array_equal(kappa(F, linalg.eye(F, 8)), linalg.eye(F, 8))
     rng = derive_rng(0, "kap")

@@ -23,6 +23,8 @@ def test_zero_trials_empty_passing_report():
     rep = run_suite(P31, seed=0, trials=0)
     assert rep.all_passed
     assert all(r.trials == 0 for r in rep.results)
+    # nothing was tested, so nothing is bounded
+    assert all(r.failure_bound == 1.0 for r in rep.results)
 
 
 def test_check_subset_and_unknown():
@@ -30,6 +32,8 @@ def test_check_subset_and_unknown():
     assert [r.check_id for r in rep.results] == ["C6", "C7"]
     with pytest.raises(ValueError):
         run_suite(P31, seed=0, trials=1, checks=["c99"])
+    with pytest.raises(ValueError, match="no check selected"):
+        run_suite(P31, seed=0, trials=1, checks=[])
 
 
 def test_prime_must_exceed_identity_degrees():
