@@ -7,7 +7,10 @@ the squared associator enters through the Gram-determinant identity
 intermediate term count down.  SparsePoly's operators work on unreduced
 integer coefficients and PolyRing.reduce maps them mod p, so the algebra
 code takes the same sum-then-reduce product on polynomial scalars as on
-field elements.  Products add exponents packed one byte per variable.
+field elements.  Terms are keyed end to end by their exponents packed one
+byte per variable into an int: a product adds keys, a derivative subtracts
+one from a byte, and exponent tuples are spelt out only for the `terms`
+view and for eval.
 
 The bound.  Through a random linear chart x = m z, m: F_p^6 -> F_p^27,
 the 162 products z_j dS/dx_i(m z) are degree-6 polynomials in the six
@@ -31,11 +34,14 @@ sextic (104).  At p = 3, where z^3 = z on F_3, they part: the retries of
 seed 1 read 129, 123 and 132 where the coefficient ranks are 133 three
 times, so the bound reads 30, which still holds.
 
-Each partial is evaluated at every point at once, as the sum over its
-terms of the coefficient times five coordinates gathered from x.  The
-products stay unreduced while the partial's sum fits in int64 (p = 313)
-and are reduced after every factor otherwise (p = 2^31 - 1), so every
-prime PolyRing accepts stays in int64.
+The gradient is built once per bound, in gather form: per partial, the
+five variable indices and the coefficient of every term, read in one
+numpy pass from the packed keys.  Each retry then evaluates every
+partial at every point at once, as the sum over its terms of the
+coefficient times five coordinates gathered from x.  The products stay
+unreduced while the partial's sum fits in int64 (p = 313) and are reduced
+after every factor otherwise (p = 2^31 - 1), so every prime PolyRing
+accepts stays in int64.
 
 The rank over F_p at a rational point lower-bounds the characteristic-0
 rank at the same point (semicontinuity), so the reported bound uses the
@@ -49,6 +55,7 @@ from __future__ import annotations
 import time
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from types import MappingProxyType
 
 import numpy as np
 
@@ -63,17 +70,40 @@ CHART_ROWS = N_VARS * CHART_VARS          # 162
 SO7_SL3_DIM = 29                          # 21 + 8
 
 
+def _pack(n: int, expo) -> int:
+    """Exponent tuple -> key, one byte per variable (variable i in byte i);
+    bytes() refuses an exponent outside 0..255."""
+    if len(expo) != n:
+        raise ValueError(f"{len(expo)} exponents for {n} variables")
+    return int.from_bytes(bytes(expo), "little")
+
+
 class SparsePoly:
-    """Multivariate polynomial: exponent tuple -> nonzero integer coefficient.
+    """Multivariate polynomial: exponents -> nonzero integer coefficient.
+
+    Terms are keyed by the exponents packed one byte per variable into an
+    int, so a product of monomials adds keys and a derivative subtracts
+    1 << 8 i.  `terms` is a read-only view keyed by exponent tuples, and the
+    constructor takes such a dict.  `top` bounds every exponent from above,
+    so a product checks the one-byte limit from two ints and rescans its
+    factors' keys only when the bounds pass 255.
 
     The operators +, -, unary - and * leave the coefficients unreduced;
     mod(p) and the methods that take p reduce them mod p."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "_terms", "top")
 
     def __init__(self, n: int, terms: dict | None = None):
+        terms = terms or {}
         self.n = n
-        self.terms = terms or {}
+        self._terms = {_pack(n, e): c for e, c in terms.items()}
+        self.top = max(map(max, terms), default=0)
+
+    @classmethod
+    def _packed(cls, n: int, terms: dict, top: int) -> "SparsePoly":
+        out = cls.__new__(cls)
+        out.n, out._terms, out.top = n, terms, top
+        return out
 
     @classmethod
     def zero(cls, n: int) -> "SparsePoly":
@@ -82,67 +112,80 @@ class SparsePoly:
     @classmethod
     def const(cls, n: int, c: int, p: int) -> "SparsePoly":
         c %= p
-        return cls(n, {(0,) * n: c} if c else {})
+        return cls._packed(n, {0: c} if c else {}, 0)
 
     @classmethod
     def variable(cls, n: int, i: int) -> "SparsePoly":
-        e = [0] * n
-        e[i] = 1
-        return cls(n, {tuple(e): 1})
+        return cls._packed(n, {1 << 8 * i: 1}, 1)
+
+    @property
+    def terms(self):
+        n = self.n
+        return MappingProxyType({tuple(k.to_bytes(n, "little")): c
+                                 for k, c in self._terms.items()})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
+
+    def _degrees(self) -> set:
+        n = self.n
+        return {sum(k.to_bytes(n, "little")) for k in self._terms}
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return max(self._degrees(), default=0)
 
     def max_exponent(self) -> int:
-        return max(map(max, self.terms), default=0)
+        n = self.n
+        return max((max(k.to_bytes(n, "little")) for k in self._terms), default=0)
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
+        return len(self._degrees()) <= 1
 
     def __len__(self):
-        return len(self.terms)
+        return len(self._terms)
 
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e, 0) + c
+        out = dict(self._terms)
+        get = out.get
+        for k, c in other._terms.items():
+            v = get(k, 0) + c
             if v:
-                out[e] = v
+                out[k] = v
             else:
-                out.pop(e, None)
-        return SparsePoly(self.n, out)
+                out.pop(k, None)
+        return SparsePoly._packed(self.n, out, max(self.top, other.top))
 
     def __neg__(self) -> "SparsePoly":
-        return SparsePoly(self.n, {e: -c for e, c in self.terms.items()})
+        return SparsePoly._packed(self.n, {k: -c for k, c in self._terms.items()}, self.top)
 
     def __sub__(self, other: "SparsePoly") -> "SparsePoly":
         return self + -other
 
-    def __mul__(self, other: "SparsePoly") -> "SparsePoly":
-        """Product.  Each exponent is packed one byte per variable into an
-        int, so adding the packed ints adds the exponents; the output keys
-        are unpacked into tuples once, after the coefficients are summed."""
-        if self.max_exponent() + other.max_exponent() > 255:
-            raise ValueError("an exponent of the product could pass 255, "
-                             "past the one-byte packing")
-        n = self.n
-        right = [(int.from_bytes(bytes(e), "little"), c) for e, c in other.terms.items()]
+    def _product(self, other: "SparsePoly") -> tuple:
+        """(unreduced coefficient sums by key, exponent bound) of the product."""
+        top = self.top + other.top
+        if top > 255:
+            top = self.max_exponent() + other.max_exponent()
+            if top > 255:
+                raise ValueError("an exponent of the product could pass 255, "
+                                 "past the one-byte packing")
+        right = list(other._terms.items())
         acc: dict = {}
         get = acc.get
-        for e1, c1 in self.terms.items():
-            k1 = int.from_bytes(bytes(e1), "little")
+        for k1, c1 in self._terms.items():
             for k2, c2 in right:
                 k = k1 + k2
                 acc[k] = get(k, 0) + c1 * c2
-        return SparsePoly(n, {tuple(k.to_bytes(n, "little")): v for k, v in acc.items() if v})
+        return acc, top
+
+    def __mul__(self, other: "SparsePoly") -> "SparsePoly":
+        acc, top = self._product(other)
+        return SparsePoly._packed(self.n, {k: v for k, v in acc.items() if v}, top)
 
     def mod(self, p: int) -> "SparsePoly":
         """The coefficients reduced mod p, zeros dropped."""
-        return SparsePoly(self.n, {e: v for e, c in self.terms.items() if (v := c % p)})
+        return SparsePoly._packed(self.n, {k: v for k, c in self._terms.items() if (v := c % p)},
+                                  self.top)
 
     def add(self, other: "SparsePoly", p: int) -> "SparsePoly":
         return (self + other).mod(p)
@@ -154,36 +197,39 @@ class SparsePoly:
         return (self - other).mod(p)
 
     def mul(self, other: "SparsePoly", p: int) -> "SparsePoly":
-        return (self * other).mod(p)
+        acc, top = self._product(other)
+        return SparsePoly._packed(self.n, {k: v for k, c in acc.items() if (v := c % p)}, top)
 
     def scale(self, c: int, p: int) -> "SparsePoly":
         c %= p
         if not c:
             return SparsePoly.zero(self.n)
-        return SparsePoly(self.n, {e: c * v % p for e, v in self.terms.items()})
+        return SparsePoly._packed(self.n, {k: c * v % p for k, v in self._terms.items()},
+                                  self.top)
 
     def diff(self, i: int, p: int) -> "SparsePoly":
+        shift = 8 * i
+        unit = 1 << shift
         out = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                v = e[i] * c % p
-                if v:
-                    e2 = e[:i] + (e[i] - 1,) + e[i + 1:]
-                    out[e2] = v
-        return SparsePoly(self.n, out)
+        for k, c in self._terms.items():
+            e = k >> shift & 255
+            if e and (v := e * c % p):
+                out[k - unit] = v
+        return SparsePoly._packed(self.n, out, self.top)
 
     def eval(self, point, p: int) -> int:
+        n = self.n
         acc = 0
-        for e, c in self.terms.items():
+        for k, c in self._terms.items():
             t = c
-            for x, k in zip(point, e):
-                if k:
-                    t = t * pow(x, k, p) % p
+            for x, e in zip(point, k.to_bytes(n, "little")):
+                if e:
+                    t = t * pow(x, e, p) % p
             acc = (acc + t) % p
         return acc
 
     def coefficient(self, expo: tuple) -> int:
-        return self.terms.get(tuple(expo), 0)
+        return self._terms.get(_pack(self.n, expo), 0)
 
 
 class PolyRing:
@@ -226,8 +272,9 @@ class PolyRing:
 
     def inv(self, a):
         # only constants are invertible here (used for the 1/2 in phi)
-        if set(a.terms) == {(0,) * self.n}:
-            return SparsePoly.const(self.n, pow(a.terms[(0,) * self.n], -1, self.p), self.p)
+        c = a.coefficient((0,) * self.n)
+        if c and len(a) == 1:
+            return SparsePoly.const(self.n, pow(c, -1, self.p), self.p)
         raise ZeroDivisionError("non-constant polynomial inverse")
 
 
@@ -260,8 +307,36 @@ def expand_twisted_sextic(prime: int) -> SparsePoly:
     return twisted_sextic(symbolic_triple(ring))
 
 
-def gradient(poly: SparsePoly, prime: int) -> list:
-    return [poly.diff(i, prime) for i in range(poly.n)]
+def gradient(poly: SparsePoly, prime: int) -> tuple:
+    """Every partial of a homogeneous poly mod prime, in gather form: one
+    (factors, coeffs) pair per variable.  Row t of the int64 array factors
+    lists the variables of the partial's term t with multiplicity (degree
+    - 1 of them, ascending), and coeffs holds its nonzero residues.
+
+    One numpy pass over the packed keys: the exponent bytes of every term,
+    each term's variables spelt out, and per nonzero (variable, term) pair
+    the term's variables with the first occurrence of that variable
+    dropped."""
+    if PrimeField(prime).dtype is not np.int64:
+        raise ValueError("the gradient requires an int64-safe prime")
+    n, terms = poly.n, poly._terms
+    expo = np.frombuffer(b"".join(k.to_bytes(n, "little") for k in terms),
+                         dtype=np.uint8).reshape(len(terms), n)
+    degrees = expo.sum(axis=1)
+    if np.any(degrees != degrees[:1]):
+        raise ValueError("the gradient needs a homogeneous polynomial")
+    degree = int(degrees[0]) if len(terms) else 0
+    spelt = np.repeat(np.tile(np.arange(n), len(terms)), expo.ravel()).reshape(len(terms), degree)
+    coef = np.array([c % prime for c in terms.values()], dtype=np.int64)
+    var, term = np.nonzero(expo.T)                # grouped by partial
+    coeffs = expo[term, var] * coef[term] % prime
+    keep = coeffs != 0
+    var, term, coeffs = var[keep], term[keep], coeffs[keep]
+    rows = spelt[term]
+    first = (rows < var[:, None]).sum(axis=1)
+    factors = rows[np.arange(degree) != first[:, None]].reshape(len(term), max(degree - 1, 0))
+    bounds = np.searchsorted(var, np.arange(n + 1))
+    return tuple((factors[a:b], coeffs[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
 @lru_cache(maxsize=None)
@@ -297,36 +372,28 @@ def _raise_map(degree: int, var: int) -> np.ndarray:
     return out
 
 
-def gradient_at(partials: list, x: np.ndarray, prime: int) -> np.ndarray:
-    """Every (homogeneous) partial at every column of x, mod prime: row i
+def gradient_at(grad: tuple, x: np.ndarray, prime: int) -> np.ndarray:
+    """Every partial of a gradient() at every column of x, mod prime: row i
     holds partial i at the points x[:, k].
 
     A partial is one sum over its terms of the coefficient times the
     term's coordinates gathered from x, one factor at a time.  The products
     stay unreduced when the partial's whole sum fits in int64 and are
     reduced after every factor otherwise."""
-    if PrimeField(prime).dtype is not np.int64:
-        raise ValueError("the gradient evaluation requires an int64-safe prime")
     x = np.asarray(x, dtype=np.int64) % prime
-    out = np.zeros((len(partials), x.shape[1]), dtype=np.int64)
-    for i, part in enumerate(partials):
-        if part.is_zero():
+    out = np.zeros((len(grad), x.shape[1]), dtype=np.int64)
+    for i, (factors, coeffs) in enumerate(grad):
+        if not len(coeffs):
             continue
-        exps = np.array(list(part.terms), dtype=np.int64)
-        degrees = exps.sum(axis=1)
-        if np.any(degrees != degrees[0]):
-            raise ValueError(f"partial {i} is not homogeneous")
-        factors = np.repeat(np.tile(np.arange(part.n), len(exps)), exps.ravel())
-        factors = factors.reshape(len(exps), -1)
-        acc = np.array(list(part.terms.values()), dtype=np.int64)[:, None] % prime
-        lazy = len(exps) * (prime - 1) ** (factors.shape[1] + 1) < 1 << 63
+        lazy = len(coeffs) * (prime - 1) ** (factors.shape[1] + 1) < 1 << 63
+        acc = coeffs[:, None]
         for var in factors.T:
             acc = acc * x[var] if lazy else acc * x[var] % prime
         out[i] = acc.sum(axis=0) % prime
     return out
 
 
-def jacobian_image_rank(partials: list, m: np.ndarray, points: np.ndarray, prime: int, *,
+def jacobian_image_rank(grad: tuple, m: np.ndarray, points: np.ndarray, prime: int, *,
                         stage_sec: dict | None = None) -> int:
     """Rank of the matrix with entry ((i, j), k) = z_jk dS/dx_i(m z_k), the
     products z_j dS/dx_i on the chart x = m z evaluated at the columns z_k
@@ -337,8 +404,8 @@ def jacobian_image_rank(partials: list, m: np.ndarray, points: np.ndarray, prime
     start = time.perf_counter()
     field = PrimeField(prime)
     z = field.array(points)
-    grad = gradient_at(partials, linalg.matmul(field, field.array(m), z), prime)
-    rows = (grad[:, None, :] * z % prime).reshape(-1, z.shape[1])
+    values = gradient_at(grad, linalg.matmul(field, field.array(m), z), prime)
+    rows = (values[:, None, :] * z % prime).reshape(-1, z.shape[1])
     built = time.perf_counter()
     out = linalg.rank(field, rows)
     if stage_sec is not None:
@@ -368,31 +435,34 @@ def aut_dimension_bound(prime: int, seed: int, retries: int,
         raise ValueError("invariant must be 'sodm' or 'twisted_sextic'")
     start = time.perf_counter()
     poly = expand_sodm(prime) if invariant == "sodm" else expand_twisted_sextic(prime)
-    expand_elapsed = time.perf_counter() - start
-    partials = gradient(poly, prime)
+    expanded = time.perf_counter()
+    grad = gradient(poly, prime)
+    gradient_elapsed = time.perf_counter() - expanded
+    degree = poly.total_degree()
     ranks = []
     stage_sec = {"restrict": 0.0, "rank": 0.0}
     for k in range(retries):
         rng = derive_rng(seed, "autdim", invariant, k)
         m = random_restriction(prime, rng)
         points = random_points(prime, rng)
-        ranks.append(jacobian_image_rank(partials, m, points, prime, stage_sec=stage_sec))
+        ranks.append(jacobian_image_rank(grad, m, points, prime, stage_sec=stage_sec))
     report = {
         "prime": prime,
         "seed": seed,
         "retries": retries,
         "invariant": invariant,
         "sextic_terms": len(poly),
-        "sextic_degree": poly.total_degree(),
+        "sextic_degree": degree,
         "ranks": ranks,
         "elapsed_sec": time.perf_counter() - start,
-        "expand_sec": expand_elapsed,
+        "expand_sec": expanded - start,
+        "gradient_sec": gradient_elapsed,
         "restrict_sec": stage_sec["restrict"],
         "rank_sec": stage_sec["rank"],
     }
     if invariant == "sodm":
         report["sodm_terms"] = len(poly)
-        report["sodm_degree"] = poly.total_degree()
+        report["sodm_degree"] = degree
     if ranks:
         best = max(ranks)
         report["max_rank"] = best

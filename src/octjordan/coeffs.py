@@ -14,7 +14,7 @@ the field.  Both fields provide:
 - reduce(a), which maps a value computed with Python or numpy operators on
   scalars or arrays back to the field: `% p` over F_p, the identity over
   C.  Hot loops accumulate with operators and reduce once per result;
-- is_zero(a): exact over F_p, |a| <= tol over C;
+- is_zero(a): exact over F_p, |a| <= ComplexField.TOL over C;
 - encode(s) / decode(v), the JSON scalar: a decimal string from a decimal
   string or integer over F_p, [re, im] from two finite numbers over C.
   decode raises ValueError on bools, floats as residues and non-finite
@@ -176,20 +176,18 @@ class ComplexField:
     """Double-precision complex scalars with a relative comparison tolerance."""
 
     dtype = np.complex128
-
-    def __init__(self, tol: float = 1e-9):
-        self.tol = tol
-        self.zero = 0j
-        self.one = 1 + 0j
+    TOL = 1e-9
+    zero = 0j
+    one = 1 + 0j
 
     def __repr__(self):
-        return f"ComplexField(tol={self.tol})"
+        return "ComplexField()"
 
     def __eq__(self, other):
-        return isinstance(other, ComplexField) and other.tol == self.tol
+        return isinstance(other, ComplexField)
 
     def __hash__(self):
-        return hash(("ComplexField", self.tol))
+        return hash("ComplexField")
 
     def from_int(self, n: int) -> complex:
         return complex(n)
@@ -216,7 +214,7 @@ class ComplexField:
         return a / b
 
     def is_zero(self, a) -> bool:
-        return abs(a) <= self.tol
+        return abs(a) <= self.TOL
 
     def array(self, x) -> np.ndarray:
         return np.array(x, dtype=np.complex128)
@@ -234,7 +232,7 @@ class ComplexField:
         return z
 
     def eq(self, a, b) -> bool:
-        return abs(a - b) <= self.tol * max(1.0, abs(a), abs(b))
+        return abs(a - b) <= self.TOL * max(1.0, abs(a), abs(b))
 
     def random(self, rng: random.Random) -> complex:
         return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))

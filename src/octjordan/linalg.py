@@ -4,15 +4,20 @@ Matrices are numpy arrays of the ring's dtype (coeffs: int64 residues at
 every prime up to coeffs.INT64_SAFE_MODULUS, Python ints past it,
 complex128 over C), built with ring.array and reduced with ring.reduce.
 Only the algorithms themselves dispatch on the field: matmul, det, rank,
-nullspace, solve and inv.  Over F_p every elimination step reduces mod p
-immediately after each scalar product, and products whose sums could pass
-2^63 split the left factor into 16-bit limbs (see matmul), so no
-intermediate overflows.  rank and det eliminate by forward elimination
-(only the rows below each pivot); nullspace and solve read the reduced row
-echelon form.  Over C, rank and nullspace decide through singular values
-with a tolerance relative to the largest one, and a singular inverse
-raises SingularMatrixError as over F_p.  The constructions built on these
-(eye, random_skew, Cayley maps) run unchanged on both.
+nullspace, solve and inv.  Over F_p an elimination step reads its pivot
+column and pivot row as residues, and its updates of the other rows stay
+unreduced for as many steps as int64 holds (_update_budget: n updates of
+at most (p - 1)^2 on top of a residue, n + 1 terms passing the _sum_safe
+test of matmul).  That is about 9.5e13 steps at p = 313, 6 just above
+2^30, and 1 from 2^31 - 1 up and on object dtype, which reduce after
+every step.  Products whose sums could pass 2^63 split the left factor
+into 16-bit limbs (see matmul), so no intermediate overflows.  rank and
+det eliminate by forward elimination (only the rows below each pivot);
+nullspace and solve read the reduced row echelon form.  Over C, rank and
+nullspace decide through singular values with a tolerance relative to the
+largest one, and a singular inverse raises SingularMatrixError as over
+F_p.  The constructions built on these (eye, random_skew, Cayley maps)
+run unchanged on both.
 """
 
 from __future__ import annotations
@@ -69,19 +74,41 @@ def matmul(ring, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out if ring.dtype is object else out.astype(ring.dtype)
 
 
+def _update_budget(p: int, dtype) -> int:
+    """How many elimination updates an int64 entry can take unreduced.  An
+    update subtracts a product of two residues, at most (p - 1)^2, so an
+    entry holding n updates since it was last a residue is a sum of n + 1
+    terms of that size: n is the largest with _sum_safe(p, n + 1), and at
+    least 1, since one update always fits at an int64-safe prime.  Object
+    entries are reduced after every update."""
+    if dtype == object:
+        return 1
+    return max(1, ((1 << 63) - 2) // ((p - 1) * (p - 1)) - 1)
+
+
 def _echelon(p: int, a: np.ndarray, reduced: bool = True):
     """Row echelon form mod p.  Returns (matrix, pivot columns, det factor).
 
     With reduced, every pivot column is cleared above and below its pivot
     (the reduced form nullspace and solve read); otherwise only the rows
     below are eliminated, which is all rank and det need.  The pivot
-    columns and the det factor are the same either way."""
+    columns and the det factor are the same either way.
+
+    Each step reduces its pivot column and its pivot row, so the pivot
+    search, the multipliers and the det factor read residues.  With a
+    budget of 1 the updated rows are reduced at once; otherwise updates
+    accumulate unreduced, and the unfinished columns are reduced when the
+    budget runs out and at the end."""
     m = a % p  # fresh array, safe to eliminate in place
     rows, cols = m.shape
+    budget = _update_budget(p, m.dtype)
+    pending = 0
     pivcols = []
     detf = 1
     r = 0
     for c in range(cols):
+        if pending:
+            m[:, c] %= p
         nz = np.flatnonzero(m[r:, c])
         if not nz.size:
             continue
@@ -91,18 +118,29 @@ def _echelon(p: int, a: np.ndarray, reduced: bool = True):
             detf = p - detf if detf else 0
         inv = pow(int(m[r, c]), -1, p)
         detf = detf * int(m[r, c]) % p
-        m[r, c:] = m[r, c:] * inv % p
-        # row r is zero left of c, so the update touches columns c: only
+        m[r, c:] = m[r, c:] % p * inv % p
+        # row r is zero left of c, so the update touches columns c: only;
+        # forward elimination updates every row below through a view
         if reduced:
             others = np.flatnonzero(m[:, c])
             others = others[others != r]
         else:
-            others = r + 1 + np.flatnonzero(m[r + 1:, c])
-        m[others, c:] = (m[others, c:] - np.outer(m[others, c], m[r, c:])) % p
+            others = slice(r + 1, None)
+        update = m[others, c:] - np.outer(m[others, c], m[r, c:])
+        if budget == 1:
+            m[others, c:] = update % p
+        else:
+            m[others, c:] = update
+            pending += 1
+            if pending == budget:
+                m[:, c + 1:] %= p
+                pending = 0
         pivcols.append(c)
         r += 1
         if r == rows:
             break
+    if pending:
+        m %= p
     return m, pivcols, detf
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -83,12 +85,45 @@ def test_packed_product_refuses_an_exponent_past_one_byte():
         x200.mul(SparsePoly(3, {(56, 0, 0): 1}), p)
 
 
+def test_exponent_bound_is_rescanned_only_past_one_byte():
+    p = 313
+    x200 = SparsePoly(3, {(200, 0, 1): 1})
+    low = (x200 + SparsePoly.variable(3, 1)) - x200      # y, with bound 200
+    assert low.terms == {(0, 1, 0): 1} and low.top == 200
+    # the bounds pass 255, the exponents do not
+    assert low.mul(SparsePoly(3, {(100, 0, 0): 1}), p).terms == {(100, 1, 0): 1}
+    with pytest.raises(ValueError, match="255"):
+        low.mul(SparsePoly(3, {(0, 255, 0): 1}), p)
+
+
+def test_terms_is_a_read_only_tuple_keyed_view():
+    q = SparsePoly(3, {(1, 2, 0): 4, (0, 0, 3): -1})
+    assert dict(q.terms) == {(1, 2, 0): 4, (0, 0, 3): -1}
+    with pytest.raises(TypeError):
+        q.terms[(1, 2, 0)] = 5
+    assert q.coefficient((1, 2, 0)) == 4 and q.coefficient((2, 1, 0)) == 0
+    with pytest.raises(ValueError):
+        q.coefficient((1, 2))
+
+
 def test_poly_ring_inverse_of_constant_only():
     ring = PolyRing(313, 3)
     two = ring.from_int(2)
     assert ring.mul(ring.inv(two), two).coefficient((0, 0, 0)) == 1
     with pytest.raises(ZeroDivisionError):
         ring.inv(ring.variable(0))
+
+
+def _partials(poly, p):
+    return [poly.diff(i, p) for i in range(poly.n)]
+
+
+def _gather_terms(factors, coeffs, n):
+    # the gather form read back into exponent tuples
+    out = {}
+    for row, c in zip(factors.tolist(), coeffs.tolist()):
+        out[tuple(row.count(v) for v in range(n))] = c
+    return out
 
 
 def test_gradient_basics():
@@ -98,10 +133,26 @@ def test_gradient_basics():
     for v in (25, 25, 26, 26):
         cube = cube.mul(ring.variable(v), p)
     g = gradient(cube, p)
-    assert g[24].coefficient((0,) * 24 + (1, 2, 2)) == 2
-    assert all(gi.is_zero() for i, gi in enumerate(g) if i not in (24, 25, 26))
+    factors, coeffs = g[24]
+    assert factors.tolist() == [[24, 25, 25, 26, 26]] and coeffs.tolist() == [2]
+    assert all(not len(g[i][1]) for i in range(27) if i not in (24, 25, 26))
     zg = gradient(SparsePoly.zero(27), p)
-    assert len(zg) == 27 and all(q.is_zero() for q in zg)
+    assert len(zg) == 27 and all(not len(c) for _, c in zg)
+    # at p = 3 the partials of x^3 y^3 vanish, and so do their gather terms
+    x3y3 = SparsePoly(27, {(3, 3) + (0,) * 25: 1})
+    assert all(not len(c) for _, c in gradient(x3y3, 3))
+
+
+@pytest.mark.parametrize("prime", [3, 313, P31])
+def test_gradient_gather_form_holds_the_partials(prime):
+    for poly in (expand_sodm(prime), expand_twisted_sextic(prime)):
+        grad = gradient(poly, prime)
+        assert len(grad) == 27
+        for (factors, coeffs), part in zip(grad, _partials(poly, prime)):
+            assert factors.dtype == coeffs.dtype == np.int64
+            assert factors.shape == (len(part), 5)
+            assert np.all(np.diff(factors, axis=1) >= 0)
+            assert _gather_terms(factors, coeffs, 27) == part.terms
 
 
 def test_sodm_expansion_shape():
@@ -111,11 +162,28 @@ def test_sodm_expansion_shape():
     assert s.coefficient((0,) * 24 + (2, 2, 2)) == 1  # the (l1 l2 l3)^2 term
 
 
+# sha256 of repr(sorted(terms.items())) of each expansion, pinned from the
+# tuple-keyed SparsePoly that preceded the packed keys
+EXPANSION_DIGESTS = {
+    ("sodm", 313): "6d21d4679a4ee4696fb4b4df2eaa8fc082138dd17f62313c059a4a3b7d176575",
+    ("twisted_sextic", 313): "1ce87e7a75064168bd0980fe3a1d6493fd970287464e3c6eed630ec3cc59000b",
+    ("sodm", P31): "14f5a5a7dfd106abdebcfc33e446b49308ed82a1c044a5105bbcfc8d62407b8c",
+    ("twisted_sextic", P31): "11a72cd45388c6251d5996209a69356daa1708fa6f118e8d0dce16fc0d58155b",
+}
+
+
+@pytest.mark.parametrize("invariant, prime", sorted(EXPANSION_DIGESTS))
+def test_expansion_digest_is_pinned(invariant, prime):
+    poly = expand_sodm(prime) if invariant == "sodm" else expand_twisted_sextic(prime)
+    digest = hashlib.sha256(repr(sorted(poly.terms.items())).encode()).hexdigest()
+    assert digest == EXPANSION_DIGESTS[invariant, prime]
+
+
 def test_euler_identity():
     # sum x_i dS/dx_i = 6 S for a homogeneous sextic
     p = 313
     s = expand_sodm(p)
-    parts = gradient(s, p)
+    parts = _partials(s, p)
     rng = derive_rng(0, "euler")
     for _ in range(10):
         pt = [rng.randrange(p) for _ in range(27)]
@@ -167,23 +235,23 @@ def test_gradient_evaluation_matches_the_term_by_term_eval(prime):
     x = np.array([[rng.randrange(prime) for _ in range(4)] for _ in range(27)])
     x[:, 0] = prime - 1                         # the largest products
     for poly in (expand_sodm(prime), expand_twisted_sextic(prime)):
-        parts = gradient(poly, prime)
-        values = gradient_at(parts, x, prime)
+        parts = _partials(poly, prime)
+        values = gradient_at(gradient(poly, prime), x, prime)
         assert values.shape == (27, 4)
         for i, part in enumerate(parts):
             assert values[i].tolist() == [part.eval(x[:, k].tolist(), prime)
                                           for k in range(4)]
     mixed = SparsePoly(27, {(1,) + (0,) * 26: 1, (2,) + (0,) * 26: 1})
-    with pytest.raises(ValueError, match="partial 1 is not homogeneous"):
-        gradient_at([SparsePoly.zero(27), mixed], x, prime)
+    with pytest.raises(ValueError, match="homogeneous"):
+        gradient(mixed, prime)
     with pytest.raises(ValueError, match="int64-safe"):
-        gradient_at(parts, x, 2**61 - 1)
+        gradient(poly, 2**61 - 1)
 
 
 @pytest.mark.parametrize("prime", [313, P31])
 def test_restriction_evaluates_the_partials_on_the_chart(prime):
     # the reference restriction's row_i at z equals dS/dx_i at x = m z
-    parts = gradient(expand_sodm(prime), prime)
+    parts = _partials(expand_sodm(prime), prime)
     rng = derive_rng(0, "restrict", prime)
     m = random_restriction(prime, rng)
     rows = _reference_restrict(parts, m, prime)
@@ -238,10 +306,10 @@ def test_evaluation_rank_matches_the_coefficient_rank():
     twin = random_restriction(p, rng)
     twin[:, 4] = twin[:, 1]
     for poly, generic in ((expand_sodm(p), 133), (expand_twisted_sextic(p), 104)):
-        partials = gradient(poly, p)
+        grad, partials = gradient(poly, p), _partials(poly, p)
         charts = [random_restriction(p, rng) for _ in range(2)]
         charts += [np.zeros((27, CHART_VARS), dtype=np.int64), twin]
-        ranks = [(jacobian_image_rank(partials, m, random_points(p, rng), p),
+        ranks = [(jacobian_image_rank(grad, m, random_points(p, rng), p),
                   _coefficient_rank(partials, m, p)) for m in charts]
         assert [a == b for a, b in ranks] == [True] * 4, ranks
         assert [a for a, _ in ranks[:2]] == [generic] * 2
@@ -251,7 +319,7 @@ def test_evaluation_rank_matches_the_coefficient_rank():
 def test_aut_dimension_bound_reports():
     rep = aut_dimension_bound(313, seed=1, retries=3)
     assert rep["max_rank"] == 133
-    stages = [rep[k] for k in ("expand_sec", "restrict_sec", "rank_sec")]
+    stages = [rep[k] for k in ("expand_sec", "gradient_sec", "restrict_sec", "rank_sec")]
     assert min(stages) >= 0 and sum(stages) <= rep["elapsed_sec"]
     assert rep["aut_dim_bound"] == 29
     assert rep["sodm_degree"] == 6

@@ -87,9 +87,25 @@ def test_cayley_orthogonal_complex():
 
 
 # --- exact elimination against a pure-Python reference, in all three integer
-# regimes: small p, int64 with products near 2^62, and object dtype
+# regimes: small p, int64 with products near 2^62, and object dtype.  313
+# never reduces its unreduced updates before the end, the prime just above
+# 2^30 reduces every few pivots, and 2^31 - 1 and the largest int64-safe
+# prime reduce after every pivot.
 
-ELIMINATION_PRIMES = [313, P31, 2**61 - 1]
+def largest_prime_at_most(n):
+    while not is_prime(n):
+        n -= 1
+    return n
+
+
+def smallest_prime_at_least(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+ELIMINATION_PRIMES = [313, smallest_prime_at_least(1 << 30), P31,
+                      largest_prime_at_most(INT64_SAFE_MODULUS), 2**61 - 1]
 
 
 def reference_rank_det(rows, p):
@@ -209,14 +225,34 @@ def test_det_solve_inv_match_reference(p):
         assert np.array_equal(matmul(ring, inv(ring, a), a), eye(ring, n))
 
 
+@pytest.mark.parametrize("p", ELIMINATION_PRIMES)
+def test_elimination_budget_holds_under_worst_growth(p):
+    # A = L U with L unit lower and U unit upper, p - 1 off both diagonals:
+    # every multiplier and every pivot-row entry is the residue p - 1, so
+    # each unreduced update subtracts (p - 1)^2 from every trailing entry
+    ring = PrimeField(p)
+    rng = derive_rng(0, "worst-growth", p)
+    n = 12
+    low = [[1 if i == j else p - 1 if j < i else 0 for j in range(n)] for i in range(n)]
+    up = [[1 if i == j else p - 1 if j > i else 0 for j in range(n)] for i in range(n)]
+    full = reference_matmul(low, up, p)
+    cases = [(full, n), ([[p - 1] * n] * n, 1), ([row + row for row in full], n)]
+    for raw, r in cases:
+        a = ring.array(raw)
+        assert rank(ring, a) == r == reference_rank_det(raw, p)[0]
+        ker = nullspace(ring, a)
+        assert ker.shape == (len(raw[0]), len(raw[0]) - r)
+        assert not np.any(matmul(ring, a, ker))
+        if len(raw) == len(raw[0]):
+            assert det(ring, a) == reference_rank_det(raw, p)[1]
+    assert reference_rank_det(full, p)[1] == 1
+    b = [[rng.randrange(p) for _ in range(3)] for _ in range(n - 1)] + [[p - 1] * 3]
+    x = linalg.solve(ring, ring.array(full), ring.array(b))
+    assert reference_matmul(full, x.tolist(), p) == b
+
+
 # --- matmul against Python ints: a small prime, the int64 limb split at
 # 2^31-1 and at the largest int64-safe prime, and object dtype at 2^61-1
-
-def largest_prime_at_most(n):
-    while not is_prime(n):
-        n -= 1
-    return n
-
 
 MATMUL_PRIMES = [313, P31, largest_prime_at_most(INT64_SAFE_MODULUS), 2**61 - 1]
 
