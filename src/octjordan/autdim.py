@@ -88,8 +88,8 @@ class SparsePoly:
     so a product checks the one-byte limit from two ints and rescans its
     factors' keys only when the bounds pass 255.
 
-    The operators +, -, unary - and * leave the coefficients unreduced;
-    mod(p) and the methods that take p reduce them mod p."""
+    The operators +, -, unary - and * leave the coefficients unreduced and
+    mod(p) reduces them mod p; diff and eval take p and reduce as they go."""
 
     __slots__ = ("n", "_terms", "top")
 
@@ -161,8 +161,7 @@ class SparsePoly:
     def __sub__(self, other: "SparsePoly") -> "SparsePoly":
         return self + -other
 
-    def _product(self, other: "SparsePoly") -> tuple:
-        """(unreduced coefficient sums by key, exponent bound) of the product."""
+    def __mul__(self, other: "SparsePoly") -> "SparsePoly":
         top = self.top + other.top
         if top > 255:
             top = self.max_exponent() + other.max_exponent()
@@ -176,35 +175,11 @@ class SparsePoly:
             for k2, c2 in right:
                 k = k1 + k2
                 acc[k] = get(k, 0) + c1 * c2
-        return acc, top
-
-    def __mul__(self, other: "SparsePoly") -> "SparsePoly":
-        acc, top = self._product(other)
         return SparsePoly._packed(self.n, {k: v for k, v in acc.items() if v}, top)
 
     def mod(self, p: int) -> "SparsePoly":
         """The coefficients reduced mod p, zeros dropped."""
         return SparsePoly._packed(self.n, {k: v for k, c in self._terms.items() if (v := c % p)},
-                                  self.top)
-
-    def add(self, other: "SparsePoly", p: int) -> "SparsePoly":
-        return (self + other).mod(p)
-
-    def neg(self, p: int) -> "SparsePoly":
-        return (-self).mod(p)
-
-    def sub(self, other: "SparsePoly", p: int) -> "SparsePoly":
-        return (self - other).mod(p)
-
-    def mul(self, other: "SparsePoly", p: int) -> "SparsePoly":
-        acc, top = self._product(other)
-        return SparsePoly._packed(self.n, {k: v for k, c in acc.items() if (v := c % p)}, top)
-
-    def scale(self, c: int, p: int) -> "SparsePoly":
-        c %= p
-        if not c:
-            return SparsePoly.zero(self.n)
-        return SparsePoly._packed(self.n, {k: c * v % p for k, v in self._terms.items()},
                                   self.top)
 
     def diff(self, i: int, p: int) -> "SparsePoly":
@@ -233,7 +208,9 @@ class SparsePoly:
 
 
 class PolyRing:
-    """Ring-contract adapter so the algebra code runs on SparsePoly scalars."""
+    """Ring-contract adapter so the algebra code runs on SparsePoly scalars:
+    zero, one, from_int, reduce, is_zero and inv (of constants).  The
+    arithmetic is SparsePoly's operators, reduced once by reduce."""
 
     def __init__(self, p: int, n: int):
         if PrimeField(p).dtype is not np.int64:
@@ -252,23 +229,8 @@ class PolyRing:
     def reduce(self, a):
         return a.mod(self.p)
 
-    def add(self, a, b):
-        return a.add(b, self.p)
-
-    def sub(self, a, b):
-        return a.sub(b, self.p)
-
-    def mul(self, a, b):
-        return a.mul(b, self.p)
-
-    def neg(self, a):
-        return a.neg(self.p)
-
     def is_zero(self, a) -> bool:
         return a.is_zero()
-
-    def eq(self, a, b) -> bool:
-        return a.sub(b, self.p).is_zero()
 
     def inv(self, a):
         # only constants are invertible here (used for the 1/2 in phi)
@@ -295,9 +257,7 @@ def expand_sodm(prime: int) -> SparsePoly:
     ph = cayley.phi(t.c, t.b, t.a)
     gram = cayley.gram_im(t.c, t.b, t.a)
     four = ring.from_int(4)
-    assoc_sq = ring.mul(four, ring.sub(gram, ring.mul(ph, ph)))
-    out = ring.sub(ring.mul(det, det), ring.mul(four, ring.mul(ph, det)))
-    return ring.sub(out, assoc_sq)
+    return ring.reduce(det * det - four * (ph * det) - four * (gram - ph * ph))
 
 
 def expand_twisted_sextic(prime: int) -> SparsePoly:

@@ -135,17 +135,17 @@ class AlgebraElement:
         self._require_same(other)
         r = self.ring
         return AlgebraElement(r, self.level, tuple(
-            r.add(a, b) for a, b in zip(self.coords, other.coords)))
+            r.reduce(a + b) for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other):
         self._require_same(other)
         r = self.ring
         return AlgebraElement(r, self.level, tuple(
-            r.sub(a, b) for a, b in zip(self.coords, other.coords)))
+            r.reduce(a - b) for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self):
         r = self.ring
-        return AlgebraElement(r, self.level, tuple(r.neg(a) for a in self.coords))
+        return AlgebraElement(r, self.level, tuple(r.reduce(-a) for a in self.coords))
 
     def __mul__(self, other):
         """The algebra product, via the structure-constant table.
@@ -154,10 +154,11 @@ class AlgebraElement:
         its terms x_i y_j, in the table's (i, j) order, and reduced once
         by ring.reduce.  Over F_p the sum is an exact Python int, so the
         coordinates must be Python ints (numpy int64 would overflow); over C,
-        and on lane-stacked complex128 scalars, the order of the additions
-        is that of a term-by-term ring.add/ring.sub loop, so the result is
-        bit-identical to it.  Over autdim.PolyRing the scalars are sparse
-        polynomials whose operators leave the coefficients unreduced.
+        and on lane-stacked complex128 scalars, the terms are added one at a
+        time in that order, so the result is bit-identical to a loop that
+        adds each term to the running sum.  Over autdim.PolyRing the scalars
+        are sparse polynomials whose operators leave the coefficients
+        unreduced.
         """
         self._require_same(other)
         r = self.ring
@@ -173,12 +174,12 @@ class AlgebraElement:
 
     def scale(self, s):
         r = self.ring
-        return AlgebraElement(r, self.level, tuple(r.mul(s, a) for a in self.coords))
+        return AlgebraElement(r, self.level, tuple(r.reduce(s * a) for a in self.coords))
 
     def conjugate(self):
         r = self.ring
         return AlgebraElement(r, self.level,
-                              (self.coords[0],) + tuple(r.neg(a) for a in self.coords[1:]))
+                              (self.coords[0],) + tuple(r.reduce(-a) for a in self.coords[1:]))
 
     def real_part(self):
         return self.coords[0]
@@ -257,7 +258,7 @@ def phi(c: AlgebraElement, b: AlgebraElement, a: AlgebraElement):
     bb = b.conjugate()
     comm = c * bb - bb * c
     half = r.inv(r.from_int(2))
-    return r.mul(half, (comm * a).real_part())
+    return r.reduce(half * (comm * a).real_part())
 
 
 def gram_im(c: AlgebraElement, b: AlgebraElement, a: AlgebraElement):
@@ -265,18 +266,9 @@ def gram_im(c: AlgebraElement, b: AlgebraElement, a: AlgebraElement):
     r = c.ring
     u, v, w = c.imag_part(), b.imag_part(), a.imag_part()
     g = [[bilinear(p, q) for q in (u, v, w)] for p in (u, v, w)]
-
-    def m(*vals):
-        acc = vals[0]
-        for t in vals[1:]:
-            acc = r.mul(acc, t)
-        return acc
-
-    pos = r.add(r.add(m(g[0][0], g[1][1], g[2][2]), m(g[0][1], g[1][2], g[2][0])),
-                m(g[0][2], g[1][0], g[2][1]))
-    neg = r.add(r.add(m(g[0][2], g[1][1], g[2][0]), m(g[0][0], g[1][2], g[2][1])),
-                m(g[0][1], g[1][0], g[2][2]))
-    return r.sub(pos, neg)
+    pos = g[0][0] * g[1][1] * g[2][2] + g[0][1] * g[1][2] * g[2][0] + g[0][2] * g[1][0] * g[2][1]
+    neg = g[0][2] * g[1][1] * g[2][0] + g[0][0] * g[1][2] * g[2][1] + g[0][1] * g[1][0] * g[2][2]
+    return r.reduce(pos - neg)
 
 
 @dataclass(frozen=True)

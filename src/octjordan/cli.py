@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -86,6 +87,13 @@ def _checked_prime(p: int) -> int:
 def _checked_count(value: int, flag: str, minimum: int = 0) -> int:
     if value < minimum:
         raise UsageError(f"{flag} must be >= {minimum}, got {value}")
+    return value
+
+
+def _checked_tol(value: float, below: float = math.inf) -> float:
+    """A tolerance strictly between 0 and below; nan and inf fail too."""
+    if not 0 < value < below:
+        raise UsageError(f"--tol must be > 0 and < {below}, got {value}")
     return value
 
 
@@ -182,8 +190,11 @@ def _cmd_autdim(args) -> int:
 def _cmd_strata(args) -> int:
     samples = _checked_count(args.samples, "--samples", minimum=1)
     jobs = _checked_count(args.jobs, "--jobs", minimum=1)
+    # a relative singular-value tolerance: at 1 or above every sample is
+    # corank 24, at 0 or below corank 0
+    tol = _checked_tol(args.tol, below=1.0)
     census = strata.corank_census(Hypersurface(args.surface), args.matrix,
-                                  samples, tol=args.tol,
+                                  samples, tol=tol,
                                   seed=_seed_from(args), jobs=jobs)
     if args.format == "csv":
         lines = ["corank,count"]
@@ -195,9 +206,11 @@ def _cmd_strata(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    # the residual gate certifies the word only against a finite tol > 0
+    tol = _checked_tol(args.tol)
     triple = _load_point(ComplexField(), args.input)
     try:
-        word = reduction.reduce_to_identity(triple, tol=args.tol,
+        word = reduction.reduce_to_identity(triple, tol=tol,
                                             seed=_seed_from(args))
     except reduction.NonGenericInput as exc:
         raise UsageError(f"non-generic input: {exc}")

@@ -4,26 +4,28 @@ Two fields are used throughout: F_p for exact randomized identity testing
 and double-precision complex numbers for the numeric geometry.  Every
 decision that depends on how a field represents its scalars is made here,
 so the algebra, Jordan, symmetry and linear-algebra code never branches on
-the field.  Both fields provide:
+the field.  Scalar arithmetic has one form on every ring: Python operators
+(+, -, *, unary -) on the ring's scalars, mapped back to the ring by
+reduce once per formula or per coordinate.  Both fields provide:
 
-- the scalar operations zero, one, from_int, add, sub, mul, neg, inv, div,
-  eq, sqrt (None for a non-residue) and random(rng);
+- zero, one, from_int, inv, sqrt (None for a non-residue) and random(rng);
+- reduce(a), which maps a value computed with Python or numpy operators on
+  scalars or arrays back to the field: `% p` over F_p, the identity over
+  C.  Over F_p the scalars are Python ints, so an unreduced sum of
+  products is exact;
 - dtype, the numpy dtype of field arrays: int64 at every prime up to
   INT64_SAFE_MODULUS, object (Python ints) past it, complex128 over C; and
   array(x), x as such an array, reduced mod p;
-- reduce(a), which maps a value computed with Python or numpy operators on
-  scalars or arrays back to the field: `% p` over F_p, the identity over
-  C.  Hot loops accumulate with operators and reduce once per result;
 - is_zero(a): exact over F_p, |a| <= ComplexField.TOL over C;
 - encode(s) / decode(v), the JSON scalar: a decimal string from a decimal
   string or integer over F_p, [re, im] from two finite numbers over C.
   decode raises ValueError on bools, floats as residues and non-finite
   parts.
 
-autdim.PolyRing has the scalar operations on sparse polynomials and
-reduce (coefficients mod p, zeros dropped), but no dtype, array, div or
-JSON form.  Its scalars' operators leave the coefficients unreduced, so
-the algebra code sums and reduces once on every ring.
+autdim.PolyRing has zero, one, from_int, reduce (coefficients mod p, zeros
+dropped), inv (of constants) and is_zero on sparse polynomials, but no
+dtype, array or JSON form.  Its scalars' operators leave the coefficients
+unreduced, like Python ints over F_p.
 """
 
 from __future__ import annotations
@@ -101,26 +103,11 @@ class PrimeField:
     def from_int(self, n: int) -> int:
         return n % self.p
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
     def reduce(self, a):
         return a % self.p
 
-    def neg(self, a):
-        return -a % self.p
-
     def inv(self, a):
         return pow(a, -1, self.p)
-
-    def div(self, a, b):
-        return a * pow(b, -1, self.p) % self.p
 
     def is_zero(self, a) -> bool:
         return a % self.p == 0
@@ -135,9 +122,6 @@ class PrimeField:
         if isinstance(v, (bool, float)):
             raise ValueError(f"a residue is a decimal string or an integer, got {v!r}")
         return int(v) % self.p
-
-    def eq(self, a, b) -> bool:
-        return (a - b) % self.p == 0
 
     def random(self, rng: random.Random):
         return rng.randrange(self.p)
@@ -192,26 +176,11 @@ class ComplexField:
     def from_int(self, n: int) -> complex:
         return complex(n)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
     def reduce(self, a):
         return a
 
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         return 1 / a
-
-    def div(self, a, b):
-        return a / b
 
     def is_zero(self, a) -> bool:
         return abs(a) <= self.TOL
@@ -230,9 +199,6 @@ class ComplexField:
         if not cmath.isfinite(z):
             raise ValueError(f"non-finite complex coordinate {v!r}")
         return z
-
-    def eq(self, a, b) -> bool:
-        return abs(a - b) <= self.TOL * max(1.0, abs(a), abs(b))
 
     def random(self, rng: random.Random) -> complex:
         return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))

@@ -50,7 +50,7 @@ class HermitianTriple:
     def scale(self, s) -> "HermitianTriple":
         r = self.ring
         return HermitianTriple(r, self.level,
-                               tuple(r.mul(s, l) for l in self.lambdas),
+                               tuple(r.reduce(s * l) for l in self.lambdas),
                                self.a.scale(s), self.b.scale(s), self.c.scale(s))
 
     def flatten(self) -> list:
@@ -103,12 +103,8 @@ def det_cartan(t: HermitianTriple):
     r = t.ring
     l1, l2, l3 = t.lambdas
     re_cab = (t.c * (t.a * t.b)).real_part()
-    out = r.mul(r.mul(l1, l2), l3)
-    out = r.add(out, r.add(re_cab, re_cab))
-    out = r.sub(out, r.mul(l2, t.b.norm_sq()))
-    out = r.sub(out, r.mul(l1, t.a.norm_sq()))
-    out = r.sub(out, r.mul(l3, t.c.norm_sq()))
-    return out
+    return r.reduce(l1 * l2 * l3 + (re_cab + re_cab) - l2 * t.b.norm_sq()
+                    - l1 * t.a.norm_sq() - l3 * t.c.norm_sq())
 
 
 def com(t: HermitianTriple) -> HermitianTriple:
@@ -116,9 +112,9 @@ def com(t: HermitianTriple) -> HermitianTriple:
     r = t.ring
     l1, l2, l3 = t.lambdas
     a, b, c = t.a, t.b, t.c
-    lam = (r.sub(r.mul(l2, l3), a.norm_sq()),
-           r.sub(r.mul(l1, l3), b.norm_sq()),
-           r.sub(r.mul(l1, l2), c.norm_sq()))
+    lam = (r.reduce(l2 * l3 - a.norm_sq()),
+           r.reduce(l1 * l3 - b.norm_sq()),
+           r.reduce(l1 * l2 - c.norm_sq()))
     new_c = b.conjugate() * a.conjugate() - c.scale(l3)
     new_a = c.conjugate() * b.conjugate() - a.scale(l1)
     new_b = a.conjugate() * c.conjugate() - b.scale(l2)
@@ -134,8 +130,7 @@ def s_odm(t: HermitianTriple):
     d = det_cartan(t)
     ph = cayley.phi(t.c, t.b, t.a)
     asq = cayley.associator(t.c, t.b, t.a).norm_sq()
-    four_ph_d = r.mul(r.from_int(4), r.mul(ph, d))
-    return r.sub(r.sub(r.mul(d, d), four_ph_d), asq)
+    return r.reduce(d * d - r.from_int(4) * (ph * d) - asq)
 
 
 def twisted_cubic(t: HermitianTriple):
@@ -146,7 +141,7 @@ def twisted_cubic(t: HermitianTriple):
     d = det_cartan(t)
     re_cab = (t.c * (t.a * t.b)).real_part()
     re_cba = (t.c.conjugate() * (t.b * t.a)).real_part()
-    return r.add(r.sub(d, r.add(re_cab, re_cab)), r.add(re_cba, re_cba))
+    return r.reduce(d - (re_cab + re_cab) + (re_cba + re_cba))
 
 
 def twisted_sextic(t: HermitianTriple):
@@ -156,16 +151,12 @@ def twisted_sextic(t: HermitianTriple):
     r = t.ring
     l1, l2, l3 = t.lambdas
     na, nb, nc = t.a.norm_sq(), t.b.norm_sq(), t.c.norm_sq()
-    lll = r.mul(r.mul(l1, l2), l3)
-    env = r.sub(r.add(r.add(r.mul(l1, na), r.mul(l2, nb)), r.mul(l3, nc)), lll)
+    env = r.reduce(l1 * na + l2 * nb + l3 * nc - l1 * l2 * l3)
     re_c = t.c.real_part()
     re_ab = (t.a * t.b).real_part()
     four = r.from_int(4)
-    mid = r.mul(four, r.mul(env, r.mul(re_c, re_ab)))
-    tail = r.add(r.mul(r.mul(nb, na), r.mul(re_c, re_c)),
-                 r.mul(nc, r.mul(re_ab, re_ab)))
-    tail = r.sub(tail, r.mul(r.mul(na, nb), nc))
-    return r.add(r.sub(r.mul(env, env), mid), r.mul(four, tail))
+    tail = nb * na * (re_c * re_c) + nc * (re_ab * re_ab) - na * nb * nc
+    return r.reduce(env * env - four * (env * (re_c * re_ab)) + four * tail)
 
 
 def build_M(t: HermitianTriple) -> np.ndarray:

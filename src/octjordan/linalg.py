@@ -217,7 +217,7 @@ def random_skew(ring, n: int, rng: random.Random, fix_first: bool = False) -> np
         for j in range(i + 1, n):
             v = ring.random(rng)
             s[i, j] = v
-            s[j, i] = ring.neg(v)
+            s[j, i] = ring.reduce(-v)
     return s
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +68,7 @@ def surface_value(surface: Hypersurface, t: HermitianTriple):
 
 def sample_on(surface: Hypersurface, rng, ring: ComplexField | None = None,
               max_tries: int = 200) -> HermitianTriple:
-    """Random point with |h(A)| <= 1e-9 * ||A||^deg on the chosen surface."""
+    """Random point with |h(A)| <= 1e-9 * max(1, ||A||)^deg on the chosen surface."""
     return lane(sample_lanes(surface, [rng], ring, max_tries), 0)
 
 
@@ -190,13 +191,14 @@ def corank_census(surface: Hypersurface, matrix: str, samples: int,
     """Histogram of 24 - rank at sampled surface points.
 
     Per-sample generators derive from (seed, surface, index), so chunked or
-    parallel evaluation produces the identical census.
+    parallel evaluation produces the identical census.  At most
+    min(jobs, samples, os.cpu_count()) worker processes are started.
     """
     if matrix not in ("M", "N"):
         raise ValueError("matrix must be 'M' or 'N'")
-    if jobs > 1 and samples > 1:
+    jobs = min(jobs, samples, os.cpu_count() or 1)
+    if jobs > 1:
         import multiprocessing
-        jobs = min(jobs, samples)
         bounds = [(samples * k // jobs, samples * (k + 1) // jobs) for k in range(jobs)]
         with multiprocessing.Pool(jobs) as pool:
             parts = pool.starmap(_census_chunk,

@@ -203,6 +203,26 @@ def test_reduce_command(capsys, tmp_path):
     assert len(word["moves"]) == summary["moves"]
 
 
+def test_reduce_rejects_a_tol_that_is_not_finite_and_positive(capsys, tmp_path):
+    # nan would never fail the residual gate, inf would certify a word of no
+    # moves, and -1 was reported as a non-generic input
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(triple_to_json(random_generic_triple(random.Random(1)))))
+    for tol in ("nan", "inf", "-1", "0"):
+        code, out, err = run(capsys, "reduce", "--input", str(path), "--tol", tol)
+        assert code == 2 and out == ""
+        assert "--tol" in err
+
+
+def test_strata_rejects_a_relative_tol_outside_zero_to_one(capsys):
+    # nan read every sample as corank 24 and -1 every sample as corank 0
+    for tol in ("nan", "inf", "-1", "0", "1"):
+        code, out, err = run(capsys, "strata", "--surface", "sodm", "--matrix", "M",
+                             "--samples", "1", "--tol", tol)
+        assert code == 2 and out == ""
+        assert "--tol" in err
+
+
 def test_reduce_non_generic_exit(capsys, tmp_path):
     t = identity_triple(ComplexField(), 3)
     bad = triple_to_json(t)

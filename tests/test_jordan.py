@@ -1,7 +1,10 @@
+import cmath
+import hashlib
+
 import numpy as np
 import pytest
 
-from octjordan import cayley, jordan, linalg
+from octjordan import cayley, jordan, linalg, symmetry
 from octjordan.cayley import AlgebraElement, basis, zero
 from octjordan.coeffs import ComplexField, PrimeField, derive_rng
 from octjordan.jordan import (HermitianTriple, build_M, build_N, com,
@@ -81,7 +84,7 @@ def test_s_odm_special_values():
         reals = [cayley.embed_scalar(F, 3, F.random(rng)) for _ in range(3)]
         t = HermitianTriple(F, 3, tuple(F.random(rng) for _ in range(3)), *reals)
         d = det_cartan(t)
-        assert s_odm(t) == F.mul(d, d)
+        assert s_odm(t) == F.reduce(d * d)
 
 
 def test_det_m_is_sodm_fourth_power():
@@ -110,16 +113,15 @@ def test_twisted_invariants_special_values():
         b = cayley.random_element(F, 3, rng)
         l1, l2, l3 = (F.random(rng) for _ in range(3))
         t = HermitianTriple(F, 3, (l1, l2, l3), a, b, zero(F, 3))
-        e = F.sub(F.add(F.mul(l1, a.norm_sq()), F.mul(l2, b.norm_sq())),
-                  F.mul(F.mul(l1, l2), l3))
-        assert twisted_sextic(t) == F.mul(e, e)
+        e = l1 * a.norm_sq() + l2 * b.norm_sq() - l1 * l2 * l3
+        assert twisted_sextic(t) == F.reduce(e * e)
 
 
 def test_det_n_factorization():
     rng = derive_rng(0, "detn")
     for _ in range(10):
         t = random_triple(F, 3, rng)
-        want = F.mul(pow(twisted_cubic(t), 4, P31), pow(twisted_sextic(t), 2, P31))
+        want = F.reduce(pow(twisted_cubic(t), 4, P31) * pow(twisted_sextic(t), 2, P31))
         assert linalg.det(F, build_N(t)) == want
 
 
@@ -152,10 +154,10 @@ def test_homogeneity():
     t = random_triple(F, 3, rng)
     s = F.random(rng)
     st = t.scale(s)
-    assert det_cartan(st) == F.mul(pow(s, 3, P31), det_cartan(t))
-    assert s_odm(st) == F.mul(pow(s, 6, P31), s_odm(t))
-    assert twisted_cubic(st) == F.mul(pow(s, 3, P31), twisted_cubic(t))
-    assert twisted_sextic(st) == F.mul(pow(s, 6, P31), twisted_sextic(t))
+    assert det_cartan(st) == F.reduce(s ** 3 * det_cartan(t))
+    assert s_odm(st) == F.reduce(s ** 6 * s_odm(t))
+    assert twisted_cubic(st) == F.reduce(s ** 3 * twisted_cubic(t))
+    assert twisted_sextic(st) == F.reduce(s ** 6 * twisted_sextic(t))
 
 
 def _complex_points(label, count=17):
@@ -232,3 +234,45 @@ def test_flatten_roundtrip_and_json():
     tc = random_triple(C, 3, rng)
     tc2 = triple_from_json(C, triple_to_json(tc))
     assert all(abs(p - q) < 1e-15 for p, q in zip(tc.flatten(), tc2.flatten()))
+
+
+def test_prime_field_scalars_are_python_ints():
+    # the invariants sum unreduced products of scalars, which must not be
+    # numpy int64 (it would overflow past 2^63)
+    rng = derive_rng(0, "int-scalars")
+    t = random_triple(F, 3, rng)
+    h = F.array([[F.random(rng) for _ in range(3)] for _ in range(3)])
+    moved = [triple_from_json(F, triple_to_json(t)), com(t), symmetry.sl3_act(F, h, t),
+             symmetry.so7_act(F, symmetry.random_so7(F, rng), t),
+             symmetry.spin7_act(symmetry.random_spin7(F, rng), t)]
+    for u in [t] + moved:
+        assert all(type(v) is int for v in u.flatten())
+        for invariant in (det_cartan, s_odm, twisted_cubic, twisted_sextic):
+            assert type(invariant(u)) is int
+    assert type(linalg.det(F, h)) is int and type(linalg.det(F, build_M(t))) is int
+
+
+def _digest_points():
+    C = ComplexField()
+    rng = derive_rng(0, "complex-digest")
+    points = [random_triple(C, 3, rng) for _ in range(12)]
+    points += [t.scale(s) for t, s in zip(points[:3], (1e-3, 1e6 * cmath.exp(0.7j), -2.5))]
+    return points + [identity_triple(C, 3), diagonal_triple(C, 3, -1.5 + 0j, 0j, 2j)]
+
+
+# sha256 of the bytes of the invariants, the comatrix and build_M / build_N
+# on _digest_points one by one and on their lane stack, pinned from the
+# code that summed with ring.add / ring.sub / ring.mul calls
+COMPLEX_DIGEST = "5ac623757c250c4df0f11ae00930321236b43c3fc45615afb447d82f87590e6c"
+
+
+def test_complex_invariants_digest_is_pinned():
+    points = _digest_points()
+    h = hashlib.sha256()
+    for t in points + [stack_lanes(ComplexField(), points)]:
+        for invariant in (det_cartan, s_odm, twisted_cubic, twisted_sextic):
+            h.update(np.asarray(invariant(t), dtype=np.complex128).tobytes())
+        h.update(np.array(com(t).flatten(), dtype=np.complex128).tobytes())
+        h.update(build_M(t).tobytes())
+        h.update(build_N(t).tobytes())
+    assert h.hexdigest() == COMPLEX_DIGEST

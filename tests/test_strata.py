@@ -1,6 +1,8 @@
 import cmath
 import json
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -219,3 +221,32 @@ def test_group_moves_preserve_corank():
         r0 = linalg.rank(C, build_N(t), tol=1e-8)
         r1 = linalg.rank(C, build_N(moved), tol=1e-8)
         assert r0 == r1
+
+
+def test_census_workers_are_capped_at_the_cpu_count(monkeypatch):
+    # a fake pool records its process count and runs the chunks inline, so
+    # no worker is started whatever jobs asks for
+    started = []
+
+    class InlinePool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, args):
+            return [fn(*a) for a in args]
+
+    monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
+    serial = corank_census(Hypersurface.S_ODM, "M", samples=7, seed=2).to_json_dict()
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    capped = corank_census(Hypersurface.S_ODM, "M", samples=7, seed=2, jobs=100_000)
+    assert started == [3] and capped.to_json_dict() == serial
+    # an unknown cpu count runs the census in this process
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    alone = corank_census(Hypersurface.S_ODM, "M", samples=7, seed=2, jobs=100_000)
+    assert started == [3] and alone.to_json_dict() == serial

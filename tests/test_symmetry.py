@@ -146,7 +146,7 @@ def test_sl3_act():
             continue
         moved = sl3_act(F, h, a)
         dh = linalg.det(F, h)
-        assert det_cartan(moved) == F.mul(F.mul(dh, dh), det_cartan(a))
+        assert det_cartan(moved) == F.reduce(dh * dh * det_cartan(a))
 
 
 def _congruence_by_full_matmul(ring, h, a):
@@ -192,10 +192,10 @@ def test_sl3_spin7_rank_preservation_on_degenerate_point():
         c0 = twisted_cubic(base)
         c1 = twisted_cubic(HermitianTriple(F, 3, (a.lambdas[0], a.lambdas[1], 1),
                                            a.a, a.b, a.c))
-        slope = F.sub(c1, c0)
+        slope = F.reduce(c1 - c0)
         if slope == 0:
             continue
-        l3 = F.mul(F.neg(c0), F.inv(slope))
+        l3 = F.reduce(-c0 * F.inv(slope))
         a = HermitianTriple(F, 3, (a.lambdas[0], a.lambdas[1], l3), a.a, a.b, a.c)
         break
     assert twisted_cubic(a) == 0

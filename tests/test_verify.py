@@ -72,7 +72,7 @@ def test_flipped_phi_sign_fails_c6_at_trial_one(monkeypatch):
         d = jordan.det_cartan(t)
         ph = cayley.phi(t.c, t.b, t.a)
         asq = cayley.associator(t.c, t.b, t.a).norm_sq()
-        return r.sub(r.add(r.mul(d, d), r.mul(r.from_int(4), r.mul(ph, d))), asq)
+        return r.reduce(d * d + r.from_int(4) * (ph * d) - asq)
 
     monkeypatch.setattr(verify, "s_odm", bad_sodm)
     rep = run_suite(P31, seed=0, trials=3, checks=["c6"])
