@@ -206,13 +206,15 @@ def _cmd_strata(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    # the residual gate certifies the word only against a finite tol > 0
-    tol = _checked_tol(args.tol)
+    # the residual gate certifies the word only against a tol in (0, 1)
+    tol = _checked_tol(args.tol, below=1.0)
     triple = _load_point(ComplexField(), args.input)
     try:
         word = reduction.reduce_to_identity(triple, tol=tol,
                                             seed=_seed_from(args))
     except reduction.NonGenericInput as exc:
+        if exc.step == "final state":
+            raise UsageError(f"tolerance not reached: {exc.detail}")
         raise UsageError(f"non-generic input: {exc}")
     transcript = word.to_json_dict()
     if args.transcript is not None:

@@ -4,7 +4,7 @@ Matrices are numpy arrays of the ring's dtype (coeffs: int64 residues at
 every prime up to coeffs.INT64_SAFE_MODULUS, Python ints past it,
 complex128 over C), built with ring.array and reduced with ring.reduce.
 Only the algorithms themselves dispatch on the field: matmul, det, rank,
-nullspace, solve and inv.  Over F_p an elimination step reads its pivot
+nullspace and solve.  Over F_p an elimination step reads its pivot
 column and pivot row as residues, and its updates of the other rows stay
 unreduced for as many steps as int64 holds (_update_budget: n updates of
 at most (p - 1)^2 on top of a residue, n + 1 terms passing the _sum_safe
@@ -15,14 +15,10 @@ into 16-bit limbs (see matmul), so no intermediate overflows.  rank and
 det eliminate by forward elimination (only the rows below each pivot);
 nullspace and solve read the reduced row echelon form.  Over C, rank and
 nullspace decide through singular values with a tolerance relative to the
-largest one, and a singular inverse raises SingularMatrixError as over
-F_p.  The constructions built on these (eye, random_skew, Cayley maps)
-run unchanged on both.
+largest one.
 """
 
 from __future__ import annotations
-
-import random
 
 import numpy as np
 
@@ -32,7 +28,7 @@ DEFAULT_RANK_TOL = 1e-8
 
 
 class SingularMatrixError(ValueError):
-    """Inversion attempted on a singular matrix (for Cayley: I+S singular)."""
+    """A linear system with a singular matrix."""
 
 
 def _sum_safe(p: int, n: int) -> bool:
@@ -197,36 +193,3 @@ def solve(ring, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise SingularMatrixError("singular system")
     x = m[:n, n:]
     return x if b.ndim == 2 else x[:, 0]
-
-
-def inv(ring, a: np.ndarray) -> np.ndarray:
-    """Inverse of a square matrix; SingularMatrixError when there is none."""
-    if isinstance(ring, ComplexField):
-        try:
-            return np.linalg.inv(a)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError("singular matrix") from exc
-    return solve(ring, a, eye(ring, a.shape[0]))
-
-
-def random_skew(ring, n: int, rng: random.Random, fix_first: bool = False) -> np.ndarray:
-    """Random skew-symmetric matrix; with fix_first, row/col 1 are zero."""
-    s = np.zeros((n, n), dtype=ring.dtype)
-    start = 1 if fix_first else 0
-    for i in range(start, n):
-        for j in range(i + 1, n):
-            v = ring.random(rng)
-            s[i, j] = v
-            s[j, i] = ring.reduce(-v)
-    return s
-
-
-def cayley_orthogonal(ring, skew: np.ndarray) -> np.ndarray:
-    """(I - S)(I + S)^{-1}: orthogonal with determinant 1 for skew S.
-
-    Fixes e_1 whenever row/col 1 of S vanish.  Raises SingularMatrixError
-    when I + S is singular (resample the skew matrix).
-    """
-    idn = eye(ring, skew.shape[0])
-    return matmul(ring, ring.reduce(idn - skew), inv(ring, ring.reduce(idn + skew)))
-

@@ -155,21 +155,17 @@ def chart_pair(fixed: int | None) -> tuple:
 
     A2_k runs over the skew generators E_ij (entry [i, j] = 1, [j, i] = -1)
     with 1 <= i < j <= 7 and i, j != fixed, so exp(A2) fixes e_1 and
-    e_{fixed+1}.  Linearizing T1(x) T2(y) = T1(xy) at the identity gives
-    A1(x) y + x A2(y) = A1(xy), solved by A1 = A2 + L_u with
-    u = 1/2 sum theta_ij e_i e_j; for E_ij that is
-    A1 = E_ij + 1/2 sign_ij L_{e_k} where e_i e_j = sign_ij e_k.  Hence
+    e_{fixed+1}; A1_k is its partner symmetry.triality_partner, which for
+    E_ij is E_ij + 1/2 sign_ij L_{e_k} where e_i e_j = sign_ij e_k.  Hence
     (exp(sum d_k A1_k), exp(sum d_k A2_k)) is a triality pair for every
     complex d.  Returns two read-only (n, 8, 8) stacks.
     """
-    rows, cols = np.array([(i, j) for i in range(1, 8) for j in range(i + 1, 8)
-                           if fixed not in (i, j)]).T
+    rows, cols = np.array([ij for ij in symmetry._IM_PAIRS.T.tolist() if fixed not in ij]).T
     k = np.arange(rows.size)
     a2 = np.zeros((rows.size, 8, 8))
     a2[k, rows, cols] = 1
     a2[k, cols, rows] = -1
-    lu = cayley.left_basis_matrices(3)[symmetry._INDEX[rows, cols]]
-    a1 = a2 + 0.5 * symmetry._SIGN[rows, cols][:, None, None] * lu
+    a1 = symmetry.triality_partner(_RING, a2, 0.5)
     a1.flags.writeable = False
     a2.flags.writeable = False
     return a1, a2

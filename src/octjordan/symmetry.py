@@ -3,18 +3,17 @@
 The group behind the twisted eigenvalue problem is the copy of Spin7 made
 of pairs (T1, T2) of orthogonal 8x8 matrices with T1(x) T2(y) = T1(xy) for
 all x, y; projecting to T2 double-covers the SO7 stabilizing the unit.
-The untwisted problem uses the other copy, T2(uv) = T1(u) T2(v).  The
-lift is exact and runs over F_p: putting the unit e_1 into the defining
-identity gives T1 = L_u T2 with u = T1(e_1), and the remaining identities
-are linear in the 8 unknowns of u.  The one-dimensional solution space
-makes the double cover concrete, and the normalization requires a square
-root which F_p may lack (a retry signal, not an error).  The left
-companion is the right one conjugated by K_T(x) = conj(T(conj(x))).
-Complex Spin7 elements are built from exponentials of infinitesimal
-triality pairs instead (reduce.chart_pair).  Three actions on hermitian
-triples are provided: the twisted Spin7 action (T2 on c, T1 on a, the
-conjugation twist of T1 on b), the plain SO7 action entrywise, and
-transpose-congruence by 3x3 scalar matrices.
+The untwisted problem uses the other copy, T2(uv) = T1(u) T2(v), made of
+the pairs (K_{T2}, K_{T1}) with K_T(x) = conj(T(conj(x))).  Random F_p
+elements are one fixed word of nilpotent triality pairs at fresh
+parameters (random_spin7): no draw inverts, eliminates or takes a square
+root.  Complex ones are exponentials of the same infinitesimal pairs
+(triality_partner, reduce.chart_pair).  The lift T1 = L_u T2, with
+u = T1(e_1) solving a linear system and normalized by a square root that
+F_p lacks outside the image of Spin7 (NonResidueError), is the exact
+reference the word is checked against.  The actions on hermitian triples
+are twisted Spin7 (T2 on c, T1 on a, the conjugation twist of T1 on b),
+plain SO7 entrywise, and congruence by 3x3 scalar matrices.
 """
 
 from __future__ import annotations
@@ -231,25 +230,73 @@ def sl3_act(ring, h: np.ndarray, a: HermitianTriple) -> HermitianTriple:
     return HermitianTriple(ring, a.level, lams, new_a, new_b, new_c)
 
 
-def random_so7(ring, rng: random.Random, tries: int = 64) -> np.ndarray:
-    """Random special-orthogonal matrix fixing e_1 (Cayley of a skew)."""
-    for _ in range(tries):
-        skew = linalg.random_skew(ring, 8, rng, fix_first=True)
-        try:
-            return linalg.cayley_orthogonal(ring, skew)
-        except linalg.SingularMatrixError:
-            continue
-    raise RuntimeError("could not sample an SO7 element (singular I+S repeatedly)")
+_IM_PAIRS = np.array([(i, j) for i in range(1, 8) for j in range(i + 1, 8)]).T
+WORD_LENGTH = _IM_PAIRS.shape[1]  # 21 = dim SO7
 
 
-def random_spin7(ring, rng: random.Random, tries: int = 64) -> TrialityTriple:
-    """Random triality pair over F_p, retrying on non-residue normalizations."""
-    last = None
-    for _ in range(tries):
-        t2 = random_so7(ring, rng)
-        try:
-            return lift_right_companion(ring, t2)
-        except NonResidueError as exc:
-            last = exc
-            continue
-    raise LiftError(f"no liftable T2 found in {tries} tries: {last}")
+def triality_partner(ring, a2: np.ndarray, half) -> np.ndarray:
+    """The partner A1 = A2 + L_u, u = 1/2 sum_{i<j} A2[i, j] e_i e_j, of a
+    stack of skew A2 fixing e_1, with half = 1/2 in the ring: it solves
+    A1(x) y + x A2(y) = A1(xy), T1(x) T2(y) = T1(xy) at the identity."""
+    rows, cols = _IM_PAIRS
+    lu = _SIGN[rows, cols][:, None, None] * cayley.left_basis_matrices(3)[_INDEX[rows, cols]]
+    return ring.reduce(a2 + half * ring.reduce(np.tensordot(a2[..., rows, cols], lu, 1)))
+
+
+@functools.lru_cache(maxsize=None)
+def _nilpotent_word(p: int) -> tuple:
+    """Read-only stacks A1, A2 and A2^2 / 2 of the F_p Spin7 word, drawn
+    once per prime from a generator seeded by p.
+
+    A2 = u w^T - w u^T with u, w in Im O, u isotropic and orthogonal to w,
+    so A2^2 = -(w.w) u u^T, A2^3 = 0 and A1^2 = 0.  The first u takes one
+    square root, and each later u is the second point q(v) u0 - 2 (u0.v) v
+    where the line u0 + s v meets the quadric."""
+    ring = PrimeField(p)
+    rng = random.Random(f"spin7-word:{p}")
+
+    def draw():
+        return [0] + [rng.randrange(p) for _ in range(7)]
+
+    def dot(x, y):
+        return sum(a * b for a, b in zip(x, y)) % p
+
+    u0 = draw()
+    while (root := ring.sqrt(-dot(u0[:7], u0[:7]))) is None:
+        u0 = draw()
+    u0[7] = root
+    half = ring.inv(2)
+    a2, h = [], []
+    for _ in range(WORD_LENGTH):
+        v, w = draw(), draw()
+        u = [(dot(v, v) * a - 2 * dot(u0, v) * b) % p for a, b in zip(u0, v)]
+        i, uw = next((i for i in range(8) if u[i]), 0), dot(u, w)
+        w = [(u[i] * b - (uw if k == i else 0)) % p for k, b in enumerate(w)]  # w.u = 0
+        a2.append([[(u[r] * w[c] - w[r] * u[c]) % p for c in range(8)] for r in range(8)])
+        h.append([[-half * dot(w, w) * x * y % p for y in u] for x in u])
+    a2 = ring.array(a2)
+    out = (triality_partner(ring, a2, half), a2, ring.array(h))
+    for m in out:
+        m.flags.writeable = False
+    return out
+
+
+def spin7_word(ring, t) -> TrialityTriple:
+    """The word at the parameters t (WORD_LENGTH residues), uncertified:
+    the product of the pairs (I + t_k A1_k, I + t_k A2_k + t_k^2 A2_k^2 / 2),
+    exact over F_p because the A1_k and A2_k are nilpotent."""
+    a1, a2, h = _nilpotent_word(ring.p)
+    t = ring.array(t)[:, None, None]
+    eye = linalg.eye(ring, 8)
+    # t^2 is reduced before it meets A2^2 / 2, so int64 products stay below (p - 1)^2
+    t2 = ring.reduce(eye + ring.reduce(t * a2) + ring.reduce(ring.reduce(t * t) * h))
+    factors = np.stack([ring.reduce(eye + t * a1), t2], axis=1)
+    return TrialityTriple(ring, *functools.reduce(functools.partial(linalg.matmul, ring), factors))
+
+
+def random_spin7(ring, rng: random.Random) -> TrialityTriple:
+    """Random triality pair over F_p: the word at fresh parameters, with
+    its defect certificate.  Any other ring is a ValueError."""
+    if not isinstance(ring, PrimeField):
+        raise ValueError(f"the Spin7 word runs over F_p, not over {ring!r}")
+    return spin7_word(ring, [ring.random(rng) for _ in range(WORD_LENGTH)]).certified()

@@ -172,37 +172,28 @@ def _c7_det_n(ring, rng):
         _fail("det(N_O) != cubic^4 * sextic^2", t.flatten())
 
 
-def _sample_left_pair(ring, rng, tries=64):
-    for _ in range(tries):
-        t1 = symmetry.random_so7(ring, rng)
-        try:
-            return t1, symmetry.lift_left_companion(ring, t1)
-        except symmetry.NonResidueError:
-            continue
-    raise CheckFailure("could not lift any T1 (all normalizations non-residues)")
+def _conjugated(ring, m: np.ndarray, diag: tuple) -> np.ndarray:
+    """D M D^T for the block diagonal D = diag(*diag) of three 8x8 blocks."""
+    blocks = np.zeros((24, 24), dtype=m.dtype)
+    for k, d in enumerate(diag):
+        blocks[8 * k:8 * k + 8, 8 * k:8 * k + 8] = d
+    return linalg.matmul(ring, linalg.matmul(ring, blocks, m), blocks.T)
 
 
 def _c8_equivariance(ring, rng):
-    # untwisted: M(T1.A) = diag(T2,T2,T2) M(A) diag(T2,T2,T2)^T
-    t1, t2 = _sample_left_pair(ring, rng)
-    blocks = np.zeros((24, 24), dtype=t2.dtype)
-    for k in range(3):
-        blocks[8 * k:8 * k + 8, 8 * k:8 * k + 8] = t2
+    # untwisted: M(T1.A) = diag(T2,T2,T2) M(A) diag(T2,T2,T2)^T for the left
+    # pair (T1, T2) = (K_{T2'}, K_{T1'}) of a right pair (T1', T2')
+    right = symmetry.random_spin7(ring, rng)
+    t1, t2 = symmetry.kappa(ring, right.t2), symmetry.kappa(ring, right.t1)
     t = random_triple(ring, 3, rng)
-    lhs = build_M(symmetry.so7_act(ring, t1, t))
-    rhs = linalg.matmul(ring, linalg.matmul(ring, blocks, build_M(t)), blocks.T)
-    if not np.array_equal(lhs, rhs):
+    if not np.array_equal(build_M(symmetry.so7_act(ring, t1, t)),
+                          _conjugated(ring, build_M(t), (t2, t2, t2))):
         _fail("M_O conjugation equivariance fails", t.flatten())
     # twisted: N((T1,T2).A) = diag(T1,T1,T2) N(A) diag(T1,T1,T2)^T
     trip = symmetry.random_spin7(ring, rng)
-    blocks = np.zeros((24, 24), dtype=trip.t1.dtype)
-    blocks[0:8, 0:8] = trip.t1
-    blocks[8:16, 8:16] = trip.t1
-    blocks[16:24, 16:24] = trip.t2
     t = random_triple(ring, 3, rng)
-    lhs = build_N(symmetry.spin7_act(trip, t))
-    rhs = linalg.matmul(ring, linalg.matmul(ring, blocks, build_N(t)), blocks.T)
-    if not np.array_equal(lhs, rhs):
+    if not np.array_equal(build_N(symmetry.spin7_act(trip, t)),
+                          _conjugated(ring, build_N(t), (trip.t1, trip.t1, trip.t2))):
         _fail("N_O conjugation equivariance fails", t.flatten())
 
 
@@ -230,7 +221,7 @@ def _c9_sl3_and_ratios(ring, rng):
         if s_odm(moved) != ring.reduce(dh4 * v):
             _fail("S_ODM congruence covariance (det^4) fails", t.flatten())
     # SO7 leaves S_ODM invariant up to a constant: test ratio constancy
-    t1, _ = _sample_left_pair(ring, rng)
+    t1 = symmetry.random_spin7(ring, rng).t2
     vals = [(s_odm(symmetry.so7_act(ring, t1, t)), v) for t, v in zip(points, sodm)]
     g0, v0 = vals[0]
     for g, v in vals[1:]:

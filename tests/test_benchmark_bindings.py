@@ -7,7 +7,7 @@ written under perfbench/."""
 import runpy
 from pathlib import Path
 
-from octjordan import autdim, cayley, linalg
+from octjordan import autdim, cayley, linalg, symmetry, verify
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -24,3 +24,21 @@ def test_setup_probe_and_tracer_bind_existing_names():
         assert autdim.jacobian_image_rank is not originals[0]
     assert (autdim.jacobian_image_rank, linalg.rank,
             cayley.AlgebraElement.__mul__) == originals
+
+
+def test_traced_identity_rounds_repeat_their_counts_on_a_cold_word_cache():
+    # the benchmark traces its first round twice in a fresh process and
+    # requires equal counts, so building the F_p Spin7 word on first use
+    # must call nothing the tracer wraps or counts
+    spans = _script("spans")
+    symmetry._nilpotent_word.cache_clear()
+    signatures = []
+    for _ in range(2):
+        rt = spans["RoundTrace"]()
+        with spans["installed"](rt):
+            verify.run_suite(2**31 - 1, 7, trials=1)
+        table = spans["layer_table"](rt)
+        signatures.append(({layer: row["calls"] for layer, row in table["layers"].items()},
+                           table["counts"]))
+    assert signatures[0] == signatures[1]
+    assert signatures[0][0]["linalg.matmul"] > 0

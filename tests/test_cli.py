@@ -214,6 +214,29 @@ def test_reduce_rejects_a_tol_that_is_not_finite_and_positive(capsys, tmp_path):
         assert "--tol" in err
 
 
+def test_reduce_rejects_a_tol_of_one_or_more(capsys, tmp_path):
+    # a residual of 1 says nothing about reaching the identity; 1e300 used to
+    # certify the empty word at residual 6.58
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(triple_to_json(random_generic_triple(random.Random(1)))))
+    for tol in ("1e300", "1.0"):
+        code, out, err = run(capsys, "reduce", "--input", str(path), "--tol", tol)
+        assert code == 2 and out == ""
+        assert "--tol" in err
+
+
+def test_reduce_reports_an_unreached_tolerance(capsys, tmp_path):
+    # a generic point whose word stops short of a tiny tol is not a
+    # non-generic input
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(triple_to_json(random_generic_triple(random.Random(1)))))
+    code, out, err = run(capsys, "reduce", "--input", str(path), "--tol", "1e-14",
+                         "--seed", "0")
+    assert code == 2 and out == ""
+    assert "tolerance not reached: replay residual" in err
+    assert "non-generic" not in err
+
+
 def test_strata_rejects_a_relative_tol_outside_zero_to_one(capsys):
     # nan read every sample as corank 24 and -1 every sample as corank 0
     for tol in ("nan", "inf", "-1", "0", "1"):
@@ -231,7 +254,7 @@ def test_reduce_non_generic_exit(capsys, tmp_path):
     path.write_text(json.dumps(bad))
     code, _, err = run(capsys, "reduce", "--input", str(path))
     assert code == 2
-    assert "non-generic" in err
+    assert "non-generic input" in err and "tolerance" not in err
 
 
 def test_seed_env_fallback(capsys, monkeypatch, tmp_path):

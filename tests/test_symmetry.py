@@ -2,16 +2,17 @@ import numpy as np
 import pytest
 
 from octjordan import cayley, linalg, symmetry
-from octjordan.coeffs import INT64_SAFE_MODULUS, ComplexField, PrimeField, derive_rng
+from octjordan.coeffs import (INT64_SAFE_MODULUS, ComplexField, PrimeField, derive_rng,
+                              is_prime)
 from octjordan.jordan import (HermitianTriple, build_M, build_N, det_cartan,
                               full_matmul, random_triple, s_odm, to_full_matrix,
                               twisted_cubic, twisted_sextic)
 from octjordan.reduce import chart_pair, expm
-from octjordan.symmetry import (LiftError, TrialityTriple,
+from octjordan.symmetry import (WORD_LENGTH, LiftError, TrialityTriple,
                                 fast_right_companion, kappa,
                                 lift_left_companion, lift_right_companion,
-                                random_so7, random_spin7, sl3_act, so7_act,
-                                spin7_act, triality_defect)
+                                random_spin7, sl3_act, so7_act, spin7_act,
+                                spin7_word, triality_defect)
 
 P31 = 2**31 - 1
 F = PrimeField(P31)
@@ -34,30 +35,26 @@ def test_lift_right_field_exact():
 
 def test_lift_left_field():
     rng = derive_rng(0, "liftl")
-    for attempt in range(32):
-        t1 = random_so7(F, rng)
-        try:
-            t2 = lift_left_companion(F, t1)
-            break
-        except LiftError:
-            continue
-    else:
-        pytest.fail("no liftable T1 found")
+    t1, t2 = left_pair(F, rng)
     assert np.array_equal(linalg.matmul(F, t2.T, t2), linalg.eye(F, 8))
 
 
+def moves_e1(ring):
+    # an orthogonal signed permutation swapping e1 and e2 is not in the SO7 image
+    m = np.zeros((8, 8), dtype=np.int64)
+    m[[1, 0, 3, 2, 5, 4, 7, 6], range(8)] = [1, 1, 1, 1, 1, 1, 1, -1]
+    return ring.array(m)
+
+
 def test_lift_rejects_non_so7():
-    # a generic orthogonal matrix not fixing e1 is not in the SO7 image
-    rng = derive_rng(0, "reject")
-    bad = linalg.cayley_orthogonal(F, linalg.random_skew(F, 8, rng, fix_first=False))
     with pytest.raises(LiftError):
-        lift_right_companion(F, bad)
+        lift_right_companion(F, moves_e1(F))
 
 
 def test_lift_refuses_a_ring_other_than_a_prime_field():
     # the lift runs over F_p; over C it stops before any elimination
     rng = derive_rng(0, "complex-lift")
-    t = random_so7(C, rng)
+    t = complex_right_pair(rng)[1]
     for lift in (fast_right_companion, lift_right_companion, lift_left_companion):
         with pytest.raises(ValueError, match="runs over F_p"):
             lift(C, t)
@@ -68,7 +65,7 @@ def test_lift_refuses_a_ring_other_than_a_prime_field():
 def test_kappa():
     assert np.array_equal(kappa(F, linalg.eye(F, 8)), linalg.eye(F, 8))
     rng = derive_rng(0, "kap")
-    t = random_so7(F, rng)
+    t = random_spin7(F, rng).t2
     k = kappa(F, t)
     assert np.array_equal(linalg.matmul(F, k.T, k), linalg.eye(F, 8))
     assert np.array_equal(kappa(F, k), t)
@@ -115,15 +112,7 @@ def test_spin7_invariance_and_conjugation():
 
 def test_so7_m_conjugation():
     rng = derive_rng(0, "conj7")
-    for attempt in range(32):
-        t1 = random_so7(F, rng)
-        try:
-            t2 = lift_left_companion(F, t1)
-            break
-        except LiftError:
-            continue
-    else:
-        pytest.fail("no liftable T1")
+    t1, t2 = left_pair(F, rng)
     blocks = np.zeros((24, 24), dtype=np.int64)
     for k in range(3):
         blocks[8 * k:8 * k + 8, 8 * k:8 * k + 8] = t2
@@ -212,20 +201,13 @@ def test_fast_lift_is_the_unique_orthogonal_companion():
     # the fiber is one-dimensional, so the solutions are the multiples of T1;
     # orthogonality leaves T1 and -T1, and the canonical sign picks one
     rng = derive_rng(0, "fastagree")
-    for _ in range(16):
-        t2 = random_so7(F, rng)
-        try:
-            t1 = fast_right_companion(F, t2)
-        except LiftError:
-            continue
-        assert triality_defect(F, t1, t2) == 0
-        assert triality_defect(F, (-t1) % P31, t2) == 0
-        assert np.array_equal(linalg.matmul(F, t1.T, t1), linalg.eye(F, 8))
-        assert linalg.nullspace(F, symmetry._first_column_system(F, t2)).shape[1] == 1
-        assert np.array_equal(lift_right_companion(F, t2).t1, t1)
-        break
-    else:
-        pytest.fail("no liftable T2 found over the field")
+    t2 = random_spin7(F, rng).t2
+    t1 = fast_right_companion(F, t2)
+    assert triality_defect(F, t1, t2) == 0
+    assert triality_defect(F, (-t1) % P31, t2) == 0
+    assert np.array_equal(linalg.matmul(F, t1.T, t1), linalg.eye(F, 8))
+    assert linalg.nullspace(F, symmetry._first_column_system(F, t2)).shape[1] == 1
+    assert np.array_equal(lift_right_companion(F, t2).t1, t1)
 
 
 def test_first_column_fiber_contains_identity():
@@ -243,7 +225,7 @@ def test_first_column_fiber_dimension():
     # and T1 = L_u T2 satisfies every intertwiner constraint
     # T1 R_{e_j} = R_{T2(e_j)} T1 exactly, before any normalization
     rng = derive_rng(0, "fiber")
-    t2 = random_so7(F, rng)
+    t2 = so7_element(F, rng)
     ker = linalg.nullspace(F, symmetry._first_column_system(F, t2))
     assert ker.shape[1] == 1
     u = cayley.AlgebraElement(F, 3, tuple(ker[:, 0].tolist()))
@@ -253,7 +235,7 @@ def test_first_column_fiber_dimension():
         q = cayley.right_mult_matrix(cayley.AlgebraElement(F, 3, tuple(t2[:, j].tolist())))
         assert np.array_equal(linalg.matmul(F, x, p), linalg.matmul(F, q, x))
     # likewise T2 = R_w T1 intertwines L_{e_j} with L_{T1(e_j)} on the left side
-    t1 = random_so7(F, rng)
+    t1 = so7_element(F, rng)
     ker = linalg.nullspace(F, reference_first_column_system(F, t1, "left"))
     assert ker.shape[1] == 1
     w = cayley.AlgebraElement(F, 3, tuple(ker[:, 0].tolist()))
@@ -265,10 +247,8 @@ def test_first_column_fiber_dimension():
 
 
 def test_lift_left_rejects_non_so7():
-    rng = derive_rng(0, "rejectl")
-    bad = linalg.cayley_orthogonal(F, linalg.random_skew(F, 8, rng, fix_first=False))
     with pytest.raises(LiftError):
-        lift_left_companion(F, bad)
+        lift_left_companion(F, moves_e1(F))
 
 
 def test_certificate_rejects_non_finite_pairs():
@@ -326,14 +306,26 @@ def reference_first_column_system(ring, m, side):
 
 
 def left_pair(ring, rng):
-    """(T1, T2) with T2 the certified left companion of a random T1."""
-    for _ in range(32):
-        t1 = random_so7(ring, rng)
-        try:
-            return t1, lift_left_companion(ring, t1)
-        except LiftError:
-            continue
-    pytest.fail("no liftable T1 found")
+    """(T1, T2) with T2 the certified left companion of T1 = K_{T2'} for a
+    random right pair (T1', T2'); the companion is K_{T1'} up to sign."""
+    right = random_spin7(ring, rng)
+    t1 = kappa(ring, right.t2)
+    t2 = lift_left_companion(ring, t1)
+    assert np.array_equal(t2, symmetry._canonical_sign(ring, kappa(ring, right.t1)))
+    return t1, t2
+
+
+def so7_element(ring, rng):
+    """A random SO7 element fixing e_1 that may lie outside the image of
+    Spin7: the T2 of a word draw times two reflections in random vectors
+    of Im O, whose spinor norm q(a) q(b) is a non-residue about half the
+    time."""
+    out = random_spin7(ring, rng).t2.astype(object)
+    for _ in range(2):
+        v = np.array([0] + [ring.random(rng) for _ in range(7)], dtype=object)
+        # x -> x - 2 (x.v) / (v.v) v
+        out = out - 2 * ring.inv(int(v @ v)) * np.outer(v, v @ out)
+    return ring.array(out % ring.p)
 
 
 TRIALITY_PRIMES = [313, P31, 2**61 - 1]
@@ -385,7 +377,7 @@ def test_first_column_system_matches_the_block_loop(p):
     rng = derive_rng(0, "first-column", p)
     arbitrary = ring.array([[ring.random(rng) for _ in range(8)]
                                           for _ in range(8)])
-    for m in (random_so7(ring, rng), arbitrary):
+    for m in (so7_element(ring, rng), arbitrary):
         assert np.array_equal(symmetry._first_column_system(ring, m),
                               reference_first_column_system(ring, m, "right"))
 
@@ -411,7 +403,7 @@ def test_left_companion_matches_the_block_loop_system(p):
     rng = derive_rng(0, "left-companion", p)
     retries = 0
     for _ in range(12):
-        t1 = random_so7(ring, rng)
+        t1 = so7_element(ring, rng)
         want = reference_left_companion(ring, t1)
         if want is None:
             retries += 1
@@ -420,3 +412,66 @@ def test_left_companion_matches_the_block_loop_system(p):
         else:
             assert np.array_equal(lift_left_companion(ring, t1), want)
     assert 0 < retries < 12
+
+
+# --- the F_p Spin7 word, checked against the lift
+
+WORD_PRIMES = [29, 313, P31, 2**61 - 1]
+
+
+@pytest.mark.parametrize("p", WORD_PRIMES)
+def test_word_factors_are_nilpotent_triality_pairs(p):
+    ring = PrimeField(p)
+    a1, a2, h = symmetry._nilpotent_word(p)
+    assert a1.shape == a2.shape == h.shape == (WORD_LENGTH, 8, 8)
+    assert np.array_equal(a2, ring.reduce(-a2.transpose(0, 2, 1)))
+    assert not np.any(a2[:, 0]) and not np.any(a2[:, :, 0])
+    sq = linalg.matmul(ring, a2, a2)
+    assert np.array_equal(ring.reduce(2 * h), sq)
+    assert not np.any(linalg.matmul(ring, sq, a2))
+    assert not np.any(linalg.matmul(ring, a1, a1))
+    with pytest.raises(ValueError):
+        a2[0, 1, 2] = 0
+
+
+@pytest.mark.parametrize("p", WORD_PRIMES)
+def test_word_draw_matches_the_lift(p):
+    # the lift recovers T1 from T2 up to sign, (K_{T2}, K_{T1}) is a left
+    # pair, and T2 is in SO7 and fixes e_1
+    ring = PrimeField(p)
+    rng = derive_rng(0, "word-vs-lift", p)
+    for _ in range(3):
+        trip = random_spin7(ring, rng)
+        assert trip.defect() == 0
+        lifted = lift_right_companion(ring, trip.t2).t1
+        assert np.array_equal(lifted, trip.t1) or np.array_equal(lifted, ring.reduce(-trip.t1))
+        t1, t2 = kappa(ring, trip.t2), kappa(ring, trip.t1)
+        assert symmetry._pair_defect(ring, t1, t2, t2) == 0
+        assert np.array_equal(linalg.matmul(ring, trip.t2.T, trip.t2), linalg.eye(ring, 8))
+        assert linalg.det(ring, trip.t2) == 1
+        assert trip.t2[:, 0].tolist() == trip.t2[0].tolist() == [1] + [0] * 7
+
+
+@pytest.mark.parametrize("p", [313, P31])
+def test_word_jacobian_has_rank_dim_so7(p):
+    # T2 is quadratic in each parameter, so T2(t + e_k) - T2(t - e_k) is
+    # twice its partial derivative in t_k, exactly
+    ring = PrimeField(p)
+    rng = derive_rng(0, "word-jacobian", p)
+    t = [ring.random(rng) for _ in range(WORD_LENGTH)]
+    rows = []
+    for k in range(WORD_LENGTH):
+        up, down = list(t), list(t)
+        up[k] += 1
+        down[k] -= 1
+        rows.append(ring.reduce(spin7_word(ring, up).t2 - spin7_word(ring, down).t2).ravel())
+    assert linalg.rank(ring, np.array(rows)) == WORD_LENGTH == 21
+
+
+def test_word_generators_span_so7_at_small_primes():
+    # the derivative at t = 0 is the A2 stack, so rank 21 makes the word dominant
+    primes = [q for q in range(29, 400) if is_prime(q)]
+    for p in primes + [P31, 2**61 - 1]:
+        a2 = symmetry._nilpotent_word(p)[1]
+        assert linalg.rank(PrimeField(p), a2.reshape(WORD_LENGTH, 64)) == WORD_LENGTH, p
+
