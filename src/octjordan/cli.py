@@ -213,9 +213,12 @@ def _cmd_reduce(args) -> int:
         word = reduction.reduce_to_identity(triple, tol=tol,
                                             seed=_seed_from(args))
     except reduction.NonGenericInput as exc:
+        if exc.step == "input":
+            raise UsageError(f"non-generic input: {exc.detail}")
         if exc.step == "final state":
             raise UsageError(f"tolerance not reached: {exc.detail}")
-        raise UsageError(f"non-generic input: {exc}")
+        raise UsageError(f"reduction failed at step '{exc.step}' on an input the "
+                         f"group treats as generic: {exc.detail}")
     transcript = word.to_json_dict()
     if args.transcript is not None:
         emit_report(transcript, args.transcript)

@@ -181,9 +181,13 @@ def nullspace(ring, a: np.ndarray, tol: float | None = None) -> np.ndarray:
 
 
 def solve(ring, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b for square invertible a."""
+    """Solve a x = b for square invertible a; a singular a raises
+    SingularMatrixError over either field."""
     if isinstance(ring, ComplexField):
-        return np.linalg.solve(a, b)
+        try:
+            return np.linalg.solve(a, b)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrixError("singular system") from exc
     p = ring.p
     n = a.shape[0]
     rhs = b if b.ndim == 2 else b[:, None]

@@ -9,18 +9,19 @@ of exponentials of these pairs: a genuine group element, with no triality
 lift anywhere.  The moves are found by Gauss-Newton on the group
 (stabilizer_solve), whose Jacobian is exact in these coordinates: T1
 places a, or T2 places c (move_c_to_plane), in a coordinate plane,
-optionally while T2 steers one basis direction to another.  The one
-exception is a random element of the stabilizer of c, drawn when a needs
-rearranging.
+optionally while T2 steers one basis direction to another.
 
-Every denominator of the pipeline (r2, r3, lambda2, r7, the half-space
-pairings) is guarded by a threshold relative to the norm of the current
-state, so the guards, like the action, commute with scaling the input by
-any nonzero complex number; a generic input never trips them, and a
-degenerate one aborts with the violated quantity named rather than
-limping on.  The emitted word is self-certifying: replaying
-it on the input must reproduce the identity up to the requested
-tolerance.
+Genericity is decided once, at the input.  The moves generate E6 (with
+C*), whose open orbit on J3(O) is exactly {det != 0}, and det_cartan is
+invariant under every move, so an input with |det_cartan| at most
+GENERIC_TOL times the cube of its norm aborts at step 'input' and every
+other input is generic.  The remaining guards protect the pipeline's own
+denominators (r1, r2, r3, lambda2, r7, the half-space pairing): each is
+relative to the norm of the current state, so it commutes, like the
+action, with scaling the input by any nonzero complex number, and a
+failure names the step at which the reduction of a generic input failed.
+The emitted word is self-certifying: replaying it on the input must
+reproduce the identity up to the requested tolerance.
 """
 
 from __future__ import annotations
@@ -36,10 +37,10 @@ import numpy as np
 from . import cayley, linalg, symmetry
 from .cayley import AlgebraElement
 from .coeffs import ComplexField
-from .jordan import HermitianTriple, identity_triple
+from .jordan import HermitianTriple, det_cartan, identity_triple
 from .symmetry import TrialityTriple, sl3_act, spin7_act
 
-GENERIC_TOL = 1e-8      # relative threshold on every proof denominator
+GENERIC_TOL = 1e-8      # relative threshold on the input det and every denominator
 GN_TOL = 1e-10
 GN_MAX_ITERS = 50
 GN_RESTARTS = 20
@@ -175,19 +176,6 @@ def _exp_pair(theta: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> tuple:
     return expm(np.tensordot(theta, a1, 1)), expm(np.tensordot(theta, a2, 1))
 
 
-def _random_stabilizer_move(rng: random.Random, fixed: int) -> TrialityTriple:
-    """Random Spin7 element whose T2 fixes e1 and the given basis direction."""
-    a1, a2 = chart_pair(fixed)
-    for _ in range(16):
-        theta = np.array([complex(rng.gauss(0, 0.5), rng.gauss(0, 0.5))
-                          for _ in range(len(a2))])
-        try:
-            return TrialityTriple(_RING, *_exp_pair(theta, a1, a2)).certified()
-        except symmetry.LiftError:
-            continue
-    raise NonGenericInput("stabilizer rerandomization", "no usable stabilizer element")
-
-
 @dataclass(frozen=True)
 class SolveRecord:
     """How a stabilizer_solve call converged."""
@@ -297,14 +285,13 @@ def symmetric_congruence_to_identity(s: np.ndarray, tol: float = 1e-9) -> np.nda
     """H with H^T S H = I for nondegenerate complex symmetric 3x3 S.
 
     Successive completion of squares with pivot permutation; square roots
-    on the principal branch.
+    on the principal branch.  A pivot that is exactly zero after the
+    off-diagonal patch, or a residual above tol, raises SingularMatrixError.
     """
     s = np.array(s, dtype=complex)
     if s.shape != (3, 3) or np.max(np.abs(s - s.T)) > tol * max(1.0, np.max(np.abs(s))):
         raise ValueError("expected a symmetric 3x3 matrix")
     scale = max(float(np.max(np.abs(s))), 1e-300)
-    if abs(np.linalg.det(s)) <= 1e-10 * scale ** 3:
-        raise linalg.SingularMatrixError("congruence target is numerically singular")
     h = np.eye(3, dtype=complex)
     work = s.copy()
     for k in range(3):
@@ -318,6 +305,8 @@ def symmetric_congruence_to_identity(s: np.ndarray, tol: float = 1e-9) -> np.nda
                 work = e.T @ work @ e
                 h = h @ e
             piv = k + int(np.argmax(np.abs(np.diag(work)[k:])))
+        if work[piv, piv] == 0:
+            raise linalg.SingularMatrixError("congruence target is singular")
         if piv != k:
             perm = np.eye(3, dtype=complex)
             perm[[k, piv]] = perm[[piv, k]]
@@ -331,7 +320,7 @@ def symmetric_congruence_to_identity(s: np.ndarray, tol: float = 1e-9) -> np.nda
         h = h @ e
     root = np.diag([1 / cmath.sqrt(work[i, i]) for i in range(3)])
     h = h @ root
-    if np.max(np.abs(h.T @ s @ h - np.eye(3))) > tol * max(1.0, scale):
+    if not np.max(np.abs(h.T @ s @ h - np.eye(3))) <= tol * max(1.0, scale):  # NaN fails
         raise linalg.SingularMatrixError("congruence residual too large")
     return h
 
@@ -379,6 +368,7 @@ def reduce_to_identity(t: HermitianTriple, tol: float = 1e-6,
     if distance_to_identity(t) <= tol:
         word.residual = distance_to_identity(t)
         return word
+    _guard("input", "det_cartan", det_cartan(t), scale0 ** 3)
 
     if not _is_offdiag_zero(state, GENERIC_TOL * max(scale0, 1e-300)):
         state = _offdiagonal_pipeline(state, word, rng)
@@ -393,13 +383,14 @@ def reduce_to_identity(t: HermitianTriple, tol: float = 1e-6,
                      [_coord(state, "c", 0), state.lambdas[1], _coord(state, "a", 0)],
                      [_coord(state, "b", 0), _coord(state, "a", 0), state.lambdas[2]]],
                     dtype=complex)
-    dets = np.linalg.det(smat)
-    _guard("final congruence", "det of the symmetric state", dets, sc ** 3)
-    mu = (1 / dets) ** (1 / 3)
+    mu = (1 / np.linalg.det(smat)) ** (1 / 3)
     word.scale = mu
     state = state.scale(mu)
     smat = smat * mu
-    h = symmetric_congruence_to_identity(smat)
+    try:
+        h = symmetric_congruence_to_identity(smat)
+    except linalg.SingularMatrixError as exc:
+        raise NonGenericInput("final congruence", str(exc)) from exc
     if abs(np.linalg.det(h) + 1) < 0.5:  # det -1: flip a column to land in SL3
         h = h @ np.diag([-1, 1, 1]).astype(complex)
     state = _congruence(word, "final congruence", h, state)
@@ -435,24 +426,13 @@ def _offdiagonal_pipeline(state: HermitianTriple, word: TransformWord,
     r1 = _guard("c to (1,i) plane", "r1 = Re(c)", _coord(state, "c", 0), sc)
     r2 = _guard("c to (1,i) plane", "r2 = i-part of c", _coord(state, "c", 1), sc)
 
-    # arrange the half-space pairing <conj(c) half, l-half of a> to be nonzero;
-    # the stabilizer of c still acts freely on a if a rerandomization is needed
-    for attempt in range(8):
-        a0, a1 = _halves(state.a)
-        cbar_half = np.array([r1, -r2, 0, 0], dtype=complex)
-        pairing = complex(cbar_half @ a1)
-        if abs(pairing) > GENERIC_TOL * sc and np.max(np.abs(a0)) > GENERIC_TOL * sc \
-                and np.max(np.abs(a1)) > GENERIC_TOL * sc:
-            break
-        trip = _random_stabilizer_move(rng, fixed=1)  # keeps c = r1 + r2 i in place
-        state = spin7_act(trip, state)
-        state = _apply_and_record(word, "rearrange a in the c stabilizer",
-                                  ("spin7", trip), state)
-        sc = _norm(state)
-        r1, r2 = _coord(state, "c", 0), _coord(state, "c", 1)
-    else:
-        raise NonGenericInput("pairing arrangement",
-                              "<conj(c), a_1> pairing stayed below the genericity threshold")
+    # the half-space pairing <conj(c) half, l-half of a> divides step 2
+    a0, a1 = _halves(state.a)
+    cbar_half = np.array([r1, -r2, 0, 0], dtype=complex)
+    pairing = _guard("pairing arrangement", "<conj(c), a_1> pairing",
+                     complex(cbar_half @ a1), sc)
+    _guard("pairing arrangement", "half a_0 of a", np.max(np.abs(a0)), sc)
+    _guard("pairing arrangement", "half a_1 of a", np.max(np.abs(a1)), sc)
 
     # step 2: congruence making the two quaternion halves of a orthogonal
     q = complex(a0 @ a1) / pairing

@@ -42,3 +42,11 @@ def test_traced_identity_rounds_repeat_their_counts_on_a_cold_word_cache():
                            table["counts"]))
     assert signatures[0] == signatures[1]
     assert signatures[0][0]["linalg.matmul"] > 0
+
+
+def test_numeric_geometry_scale_sweep_reduces_at_every_scale():
+    # the sweep reduces one generic triple at |s| = 1e-6, 1e-4, ..., 1e6;
+    # C* is part of the group action, so no scale may abort
+    workload = _script("workloads")["NumericGeometry"]
+    for seed in (1, 2):
+        assert workload(seed).scale_sweep() == []

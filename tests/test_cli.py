@@ -257,6 +257,28 @@ def test_reduce_non_generic_exit(capsys, tmp_path):
     assert "non-generic input" in err and "tolerance" not in err
 
 
+def test_reduce_messages_name_the_failed_step(capsys, tmp_path):
+    ident = triple_to_json(identity_triple(ComplexField(), 3))
+    degenerate = {**ident, "lambda": [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]]}
+    generic = triple_to_json(random_generic_triple(random.Random(1)))
+    # a real c has det_cartan != 0, but leaves the i-part of c at zero
+    real_c = triple_to_json(random_generic_triple(random.Random(12)))
+    real_c["c"] = [[0.8, 0.2]] + [[0.0, 0.0]] * 7
+    cases = [
+        (degenerate, "1e-6", "non-generic input: det_cartan below the genericity threshold"),
+        (generic, "1e-14", "tolerance not reached: replay residual"),
+        (real_c, "1e-6", "reduction failed at step 'c to (1,i) plane' on an input the "
+                         "group treats as generic: r2 = i-part of c below"),
+    ]
+    for point, tol, message in cases:
+        path = tmp_path / "point.json"
+        path.write_text(json.dumps(point))
+        code, out, err = run(capsys, "reduce", "--input", str(path), "--tol", tol,
+                             "--seed", "0")
+        assert code == 2 and out == ""
+        assert message in err
+
+
 def test_seed_env_fallback(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("OCTJORDAN_SEED", "3")
     p1 = tmp_path / "env.json"

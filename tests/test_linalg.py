@@ -63,6 +63,13 @@ def test_solve_and_inv():
         linalg.solve(F, F.array(np.zeros((3, 3), dtype=int)), eye(F, 3))
 
 
+@pytest.mark.parametrize("ring", [F, C], ids=["F_p", "C"])
+def test_solve_raises_singular_matrix_error_on_both_fields(ring):
+    # over C numpy's LinAlgError is translated, so callers catch one type
+    with pytest.raises(SingularMatrixError):
+        linalg.solve(ring, ring.array(np.array([[1, 2], [2, 4]])), eye(ring, 2))
+
+
 # --- exact elimination against a pure-Python reference, in all three integer
 # regimes: small p, int64 with products near 2^62, and object dtype.  313
 # never reduces its unreduced updates before the end, the prime just above

@@ -16,7 +16,6 @@ def test_small_suite_all_pass():
     assert {r.check_id for r in rep.results} == set(check_ids())
     for r in rep.results:
         assert r.failure_bound < 1e-5
-        assert not r.warnings
 
 
 def test_zero_trials_empty_passing_report():
@@ -102,24 +101,46 @@ def test_charpoly_unit_point():
     e1 = basis(F, 3, 0)
     # both sides reduce to (kappa - 2)^8
     for kv in (0, 1, 17, P31 - 3):
-        status, _ = charpoly_factor_check(e1, e1, e1, kv)
-        assert status == "pass"
+        ok, msg = charpoly_factor_check(e1, e1, e1, kv)
+        assert ok, msg
 
 
 def test_charpoly_b_zero():
     rng = derive_rng(0, "cpz")
     a, c = random_element(F, 3, rng), random_element(F, 3, rng)
     z = cayley.zero(F, 3)
-    status, _ = charpoly_factor_check(a, z, c, F.random(rng))
-    assert status == "pass"  # both sides are kappa^8
+    ok, msg = charpoly_factor_check(a, z, c, F.random(rng))
+    assert ok, msg  # both sides are kappa^8
 
 
 def test_charpoly_random():
     rng = derive_rng(0, "cpr")
     for _ in range(10):
         a, b, c = (random_element(F, 3, rng) for _ in range(3))
-        status, msg = charpoly_factor_check(a, b, c, F.random(rng))
-        assert status == "pass", msg
+        ok, msg = charpoly_factor_check(a, b, c, F.random(rng))
+        assert ok, msg
+
+
+def test_charpoly_fails_on_a_wrong_exponent(monkeypatch):
+    # det = quad^2 matches the quadratic with the wrong exponent: a false identity
+    rng = derive_rng(0, "cpw")
+    a, b, c = (random_element(F, 3, rng) for _ in range(3))
+    kv = F.random(rng)
+    re_cab = (c * (a * b)).real_part()
+    re_cba = (c * (b * a)).real_part()
+    quad = F.reduce((kv - 2 * re_cab) * (kv - 2 * re_cba)
+                    - cayley.associator(c, b, a).norm_sq())
+    true_dets = []
+    det = verify.linalg.det
+
+    def squared(ring, m):
+        true_dets.append(det(ring, m))
+        return pow(quad, 2, P31)
+
+    monkeypatch.setattr(verify.linalg, "det", squared)
+    ok, msg = charpoly_factor_check(a, b, c, kv)
+    assert not ok and "fourth power" in msg
+    assert true_dets == [pow(quad, 4, P31)] and quad not in (0, 1, P31 - 1)
 
 
 def test_c9_redraws_a_singular_congruence(monkeypatch):
