@@ -9,17 +9,20 @@ of exponentials of these pairs: a genuine group element, with no triality
 lift anywhere.  The moves are found by Gauss-Newton on the group
 (stabilizer_solve), whose Jacobian is exact in these coordinates: T1
 places a, or T2 places c (move_c_to_plane), in a coordinate plane,
-optionally while T2 steers one basis direction to another.
+optionally while T2 steers one basis direction to another.  The one
+exception is a fixed element of the stabilizer of c, applied when c
+already lies in span(1, i) and a in one quaternion half (a J3(C) point).
 
 Genericity is decided once, at the input.  The moves generate E6 (with
 C*), whose open orbit on J3(O) is exactly {det != 0}, and det_cartan is
-invariant under every move, so an input with |det_cartan| at most
-GENERIC_TOL times the cube of its norm aborts at step 'input' and every
-other input is generic.  The remaining guards protect the pipeline's own
-denominators (r1, r2, r3, lambda2, r7, the half-space pairing): each is
-relative to the norm of the current state, so it commutes, like the
-action, with scaling the input by any nonzero complex number, and a
-failure names the step at which the reduction of a generic input failed.
+invariant under every move, so an input whose det_cartan, after scaling
+the input to unit norm, is at most GENERIC_TOL aborts at step 'input' and
+every other input is generic.  The remaining guards protect the pipeline's
+own denominators (r1, r2, r3, lambda2, r7, the half-space pairing): each
+is homogeneous in the current state and relative to its norm, so it
+commutes, like the action, with scaling the input by any nonzero complex
+number, and a failure names the step at which the reduction of a generic
+input failed.
 The emitted word is self-certifying: replaying it on the input must
 reproduce the identity up to the requested tolerance.
 """
@@ -68,10 +71,11 @@ class TransformWord:
     intermediates: list = field(default_factory=list)  # flattened states after each move
     residual: float = 0.0
 
-    def record(self, label: str, move, state: HermitianTriple):
+    def record(self, label: str, move, state: HermitianTriple) -> HermitianTriple:
         self.moves.append(move)
         self.steps.append(label)
         self.intermediates.append(list(state.flatten()))
+        return state
 
     def to_json_dict(self) -> dict:
         def mat(m):
@@ -174,6 +178,14 @@ def chart_pair(fixed: int | None) -> tuple:
 
 def _exp_pair(theta: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> tuple:
     return expm(np.tensordot(theta, a1, 1)), expm(np.tensordot(theta, a2, 1))
+
+
+@lru_cache(maxsize=None)
+def _c_stabilizer_turn() -> tuple:
+    """One fixed real Spin7 move whose T2 fixes e1 and e2 exactly."""
+    a1, a2 = chart_pair(1)
+    theta = np.linspace(0.3, 1.1, len(a2)).astype(complex)
+    return "spin7", TrialityTriple(_RING, *_exp_pair(theta, a1, a2)).certified()
 
 
 @dataclass(frozen=True)
@@ -343,6 +355,12 @@ def _halves(x: AlgebraElement):
             np.array(s.x1.coords[:4], dtype=complex))
 
 
+def _half_pairing(t: HermitianTriple) -> tuple:
+    """<conj(c) half, a_1> for c in span(1, i), with the halves a_0, a_1 of a."""
+    a0, a1 = _halves(t.a)
+    return complex(np.array([_coord(t, "c", 0), -_coord(t, "c", 1), 0, 0]) @ a1), a0, a1
+
+
 def _elementary(i: int, j: int, v: complex) -> np.ndarray:
     h = np.eye(3, dtype=complex)
     h[i, j] = v
@@ -368,7 +386,9 @@ def reduce_to_identity(t: HermitianTriple, tol: float = 1e-6,
     if distance_to_identity(t) <= tol:
         word.residual = distance_to_identity(t)
         return word
-    _guard("input", "det_cartan", det_cartan(t), scale0 ** 3)
+    # det_cartan of the input over its norm: scale-free, with no cube to
+    # overflow or underflow
+    _guard("input", "det_cartan", det_cartan(t.scale(1 / scale0) if scale0 else t), 1.0)
 
     if not _is_offdiag_zero(state, GENERIC_TOL * max(scale0, 1e-300)):
         state = _offdiagonal_pipeline(state, word, rng)
@@ -383,7 +403,10 @@ def reduce_to_identity(t: HermitianTriple, tol: float = 1e-6,
                      [_coord(state, "c", 0), state.lambdas[1], _coord(state, "a", 0)],
                      [_coord(state, "b", 0), _coord(state, "a", 0), state.lambdas[2]]],
                     dtype=complex)
-    mu = (1 / np.linalg.det(smat)) ** (1 / 3)
+    # det(smat) is cubic in the state and leaves the double range near a norm
+    # of 1e100; smat is then first brought to unit size by an exact power of two
+    p = 1.0 if abs(np.linalg.slogdet(smat)[1]) < 690 else 2.0 ** -math.frexp(sc)[1]
+    mu = (1 / np.linalg.det(smat * p)) ** (1 / 3) * p
     word.scale = mu
     state = state.scale(mu)
     smat = smat * mu
@@ -401,21 +424,16 @@ def reduce_to_identity(t: HermitianTriple, tol: float = 1e-6,
     return word
 
 
-def _apply_and_record(word: TransformWord, label: str, move, state) -> HermitianTriple:
-    word.record(label, move, state)
-    return state
-
-
 def _congruence(word: TransformWord, label: str, h: np.ndarray,
                 state: HermitianTriple) -> HermitianTriple:
-    return _apply_and_record(word, label, ("congruence", h), sl3_act(_RING, h, state))
+    return word.record(label, ("congruence", h), sl3_act(_RING, h, state))
 
 
 def _solve_and_record(word: TransformWord, label: str, solve, state: HermitianTriple,
                       rng: random.Random, *args, **kwargs) -> HermitianTriple:
     move, state, record = solve(state, rng, label, *args, **kwargs)
     word.solver.append((label, record))
-    return _apply_and_record(word, label, move, state)
+    return word.record(label, move, state)
 
 
 def _offdiagonal_pipeline(state: HermitianTriple, word: TransformWord,
@@ -423,14 +441,20 @@ def _offdiagonal_pipeline(state: HermitianTriple, word: TransformWord,
     # step 1: rotate c into span(e1, i)
     state = _solve_and_record(word, "c to (1,i) plane", move_c_to_plane, state, rng)
     sc = _norm(state)
-    r1 = _guard("c to (1,i) plane", "r1 = Re(c)", _coord(state, "c", 0), sc)
-    r2 = _guard("c to (1,i) plane", "r2 = i-part of c", _coord(state, "c", 1), sc)
+    _guard("c to (1,i) plane", "r1 = Re(c)", _coord(state, "c", 0), sc)
+    _guard("c to (1,i) plane", "r2 = i-part of c", _coord(state, "c", 1), sc)
 
-    # the half-space pairing <conj(c) half, l-half of a> divides step 2
-    a0, a1 = _halves(state.a)
-    cbar_half = np.array([r1, -r2, 0, 0], dtype=complex)
-    pairing = _guard("pairing arrangement", "<conj(c), a_1> pairing",
-                     complex(cbar_half @ a1), sc)
+    # the half-space pairing <conj(c) half, l-half of a> divides step 2; it is
+    # quadratic in the state, so it is guarded over sc.  When step 1 kept c in
+    # place (c already in span(1, i), as on every J3(C) point) a may lie in one
+    # quaternion half; one fixed move in the stabilizer of c then frees it
+    pairing, a0, a1 = _half_pairing(state)
+    if min(abs(pairing) / sc, np.max(np.abs(a0)), np.max(np.abs(a1))) <= GENERIC_TOL * sc:
+        move = _c_stabilizer_turn()
+        state = word.record("rearrange a in the c stabilizer", move, apply_move(move, state))
+        sc = _norm(state)
+        pairing, a0, a1 = _half_pairing(state)
+    _guard("pairing arrangement", "<conj(c), a_1> pairing", pairing / sc, sc)
     _guard("pairing arrangement", "half a_0 of a", np.max(np.abs(a0)), sc)
     _guard("pairing arrangement", "half a_1 of a", np.max(np.abs(a1)), sc)
 

@@ -194,6 +194,25 @@ def test_non_generic_inputs_raise_with_step():
     assert "pairing" in str(info.value)
 
 
+def _complex_point(rng):
+    """A generic point of J3(C): every off-diagonal octonion in span(1, i)."""
+    coords = list(random_generic_triple(rng).flatten())
+    for slot in range(3):
+        coords[8 * slot + 2:8 * slot + 8] = [0j] * 6
+    return unflatten(C, 3, coords)
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_generic_points_of_j3_c_reduce(k):
+    # c already lies in span(1, i), so step 1 keeps it in place and a stays in
+    # one quaternion half, with a zero pairing: the fixed move in the
+    # stabilizer of c must free a before step 2
+    t = _complex_point(random.Random(k))
+    word = reduce_to_identity(t, seed=k)
+    assert word.steps[1] == "rearrange a in the c stabilizer"
+    assert distance_to_identity(replay(word, t)) <= 1e-6
+
+
 def test_pipeline_spin7_moves_preserve_twisted_invariants():
     # the spin7 moves of the word leave both twisted invariants unchanged;
     # congruence moves mixing the third row into the others do not admit a
@@ -452,3 +471,13 @@ def test_zero_det_input_off_the_diagonal_aborts_at_the_input(s):
     with pytest.raises(NonGenericInput) as info:
         reduce_to_identity(singular)
     assert info.value.step == "input" and "det_cartan" in info.value.detail
+
+
+@pytest.mark.parametrize("s", [1e-110, 1e110j])
+def test_generic_input_reduces_where_a_cube_of_its_norm_leaves_the_doubles(s):
+    # det_cartan and det of the symmetric state are cubic in the input and
+    # the half-space pairing quadratic: each is judged scale-free, so neither
+    # under- nor overflow calls a generic input non-generic
+    t = random_generic_triple(random.Random(5)).scale(s)
+    word = reduce_to_identity(t, seed=0)
+    assert distance_to_identity(replay(word, t)) <= 1e-6
