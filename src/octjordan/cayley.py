@@ -269,26 +269,3 @@ def gram_im(c: AlgebraElement, b: AlgebraElement, a: AlgebraElement):
     pos = g[0][0] * g[1][1] * g[2][2] + g[0][1] * g[1][2] * g[2][0] + g[0][2] * g[1][0] * g[2][1]
     neg = g[0][2] * g[1][1] * g[2][0] + g[0][0] * g[1][2] * g[2][1] + g[0][1] * g[1][0] * g[2][2]
     return r.reduce(pos - neg)
-
-
-@dataclass(frozen=True)
-class QuaternionSplitting:
-    """Decomposition x = x0 + x1 . l along O = H + H.l, H = span(e1..e4)."""
-
-    x0: AlgebraElement
-    x1: AlgebraElement
-
-
-def split(x: AlgebraElement) -> QuaternionSplitting:
-    if x.level != 3:
-        raise ValueError("splitting is defined at level 3 only")
-    r = x.ring
-    zeros = (r.zero,) * 4
-    x0 = AlgebraElement(r, 3, x.coords[:4] + zeros)
-    x1 = AlgebraElement(r, 3, x.coords[4:] + zeros)
-    return QuaternionSplitting(x0, x1)
-
-
-def recompose(s: QuaternionSplitting) -> AlgebraElement:
-    ell = basis(s.x0.ring, 3, 4)
-    return s.x0 + s.x1 * ell

@@ -4,7 +4,10 @@ that binds them.  Renaming or deleting such a name must fail here, not in
 every benchmark run.  The scripts are run from source, so nothing is
 written under perfbench/."""
 
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 from octjordan import autdim, cayley, linalg, symmetry, verify
@@ -50,3 +53,28 @@ def test_numeric_geometry_scale_sweep_reduces_at_every_scale():
     workload = _script("workloads")["NumericGeometry"]
     for seed in (1, 2):
         assert workload(seed).scale_sweep() == []
+
+
+_TRACE_TWO_REDUCTIONS = """
+import random, runpy, sys
+spans = runpy.run_path(sys.argv[1])
+from octjordan import reduce
+t = reduce.random_generic_triple(random.Random(1))
+signatures = []
+for _ in range(2):
+    rt = spans["RoundTrace"]()
+    with spans["installed"](rt):
+        reduce.reduce_to_identity(t, seed=0)
+    table = spans["layer_table"](rt)
+    signatures.append(({k: v["calls"] for k, v in table["layers"].items()}, table["counts"]))
+assert signatures[0] == signatures[1], signatures
+"""
+
+
+def test_traced_reductions_repeat_their_counts_in_a_fresh_interpreter():
+    # the benchmark traces its first numeric_geometry round twice in a fresh
+    # process and requires equal counts, so nothing a reduction builds on
+    # first use may call what the tracer wraps or counts
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    subprocess.run([sys.executable, "-c", _TRACE_TWO_REDUCTIONS,
+                    str(ROOT / "perfbench" / "spans.py")], check=True, env=env, timeout=120)

@@ -7,9 +7,8 @@ from octjordan import cayley, linalg
 from octjordan.autdim import PolyRing
 from octjordan.cayley import (AlgebraElement, associator, basis, bilinear,
                               gram_im, left_mult_matrix, left_table_symbolic,
-                              phi, random_element, recompose,
-                              right_mult_matrix, right_table_symbolic, split,
-                              unit, zero)
+                              phi, random_element, right_mult_matrix,
+                              right_table_symbolic, unit, zero)
 from octjordan.coeffs import INT64_SAFE_MODULUS, ComplexField, PrimeField, derive_rng
 
 P31 = 2**31 - 1
@@ -156,21 +155,6 @@ def test_splitting_relations():
         assert ((u * ell) * (v * ell)).coords == (-(v.conjugate() * u)).coords
         assert (u * ell).coords == (ell * u.conjugate()).coords
         assert ((u * ell) * v).coords == ((u * v.conjugate()) * ell).coords
-
-
-def test_split_recompose():
-    e = [basis(F, 3, i) for i in range(8)]
-    s = split(e[1])
-    assert s.x0.coords == e[1].coords and s.x1.coords == zero(F, 3).coords
-    s = split(e[4])
-    assert s.x0.coords == zero(F, 3).coords and s.x1.coords == e[0].coords
-    # e6 = q . e5 with q = e2, found by solving against the table
-    s = split(e[5])
-    assert s.x1.coords == e[1].coords
-    rng = derive_rng(0, "split")
-    for _ in range(10):
-        x = random_element(F, 3, rng)
-        assert recompose(split(x)).coords == x.coords
 
 
 def test_level_mismatch_raises():

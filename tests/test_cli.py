@@ -1,10 +1,12 @@
 import json
 import random
 
+from octjordan import reduce
 from octjordan.cli import main
 from octjordan.coeffs import ComplexField, PrimeField
-from octjordan.jordan import identity_triple, random_triple, triple_to_json
+from octjordan.jordan import HermitianTriple, identity_triple, random_triple, triple_to_json
 from octjordan.reduce import random_generic_triple
+from octjordan.symmetry import sl3_act, spin7_act
 
 P31 = 2**31 - 1
 
@@ -230,7 +232,7 @@ def test_reduce_reports_an_unreached_tolerance(capsys, tmp_path):
     # non-generic input
     path = tmp_path / "point.json"
     path.write_text(json.dumps(triple_to_json(random_generic_triple(random.Random(1)))))
-    code, out, err = run(capsys, "reduce", "--input", str(path), "--tol", "1e-14",
+    code, out, err = run(capsys, "reduce", "--input", str(path), "--tol", "1e-17",
                          "--seed", "0")
     assert code == 2 and out == ""
     assert "tolerance not reached: replay residual" in err
@@ -257,18 +259,32 @@ def test_reduce_non_generic_exit(capsys, tmp_path):
     assert "non-generic input" in err and "tolerance" not in err
 
 
+def _dressed_pivot_zero(rng: random.Random) -> dict:
+    """A generic point whose lambda2 vanishes after the reduction's dressing;
+    the dressed lambda2 is linear in the input lambda2."""
+    t = random_generic_triple(rng)
+
+    def dressed(l2):
+        x = HermitianTriple(t.ring, 3, (t.lambdas[0], l2, t.lambdas[2]), t.a, t.b, t.c)
+        pair, h = reduce._dressing()
+        x = sl3_act(x.ring, h, spin7_act(pair, x))
+        return x.lambdas[1]
+
+    f0 = dressed(0j)
+    return triple_to_json(HermitianTriple(t.ring, 3, (t.lambdas[0], -f0 / (dressed(1 + 0j) - f0),
+                                                      t.lambdas[2]), t.a, t.b, t.c))
+
+
 def test_reduce_messages_name_the_failed_step(capsys, tmp_path):
     ident = triple_to_json(identity_triple(ComplexField(), 3))
     degenerate = {**ident, "lambda": [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]]}
     generic = triple_to_json(random_generic_triple(random.Random(1)))
-    # a real c has det_cartan != 0, but leaves the i-part of c at zero
-    real_c = triple_to_json(random_generic_triple(random.Random(12)))
-    real_c["c"] = [[0.8, 0.2]] + [[0.0, 0.0]] * 7
     cases = [
         (degenerate, "1e-6", "non-generic input: det_cartan below the genericity threshold"),
-        (generic, "1e-14", "tolerance not reached: replay residual"),
-        (real_c, "1e-6", "reduction failed at step 'c to (1,i) plane' on an input the "
-                         "group treats as generic: r2 = i-part of c below"),
+        (generic, "1e-17", "tolerance not reached: replay residual"),
+        (_dressed_pivot_zero(random.Random(12)), "1e-6",
+         "reduction failed at step 'round 1: kill a' on an input the group treats as "
+         "generic: lambda2 below"),
     ]
     for point, tol, message in cases:
         path = tmp_path / "point.json"

@@ -211,7 +211,7 @@ def test_census_determinism_and_merge_consistency():
 
 def test_group_moves_preserve_corank():
     rng = derive_rng(0, "movecorank")
-    a1, a2 = chart_pair(None)
+    a1, a2 = chart_pair()
     theta = np.array([complex(rng.gauss(0, 0.5), rng.gauss(0, 0.5)) for _ in range(len(a2))])
     trip = TrialityTriple(C, expm(np.tensordot(theta, a1, 1)),
                           expm(np.tensordot(theta, a2, 1))).certified()

@@ -350,7 +350,7 @@ def test_pair_defect_matches_the_product_loop(p):
 
 def complex_right_pair(rng):
     """(T1, T2) with T1(x) T2(y) = T1(xy): exponentials of the chart pairs."""
-    a1, a2 = chart_pair(None)
+    a1, a2 = chart_pair()
     theta = np.array([complex(rng.gauss(0, 0.5), rng.gauss(0, 0.5)) for _ in range(len(a2))])
     return expm(np.tensordot(theta, a1, 1)), expm(np.tensordot(theta, a2, 1))
 
