@@ -124,7 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--trials", type=int, default=100)
     v.add_argument("--checks", type=str, default=None,
                    help="comma-separated subset, e.g. c6,c7")
-    v.add_argument("--jobs", type=int, default=1)
     v.add_argument("--out", type=str, default=None)
 
     a = sub.add_parser("autdim", help="automorphism dimension bound of the sextic")
@@ -142,7 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--samples", type=int, default=200)
     s.add_argument("--tol", type=float, default=1e-8)
     s.add_argument("--seed", type=int, default=None)
-    s.add_argument("--jobs", type=int, default=1)
     s.add_argument("--format", choices=["json", "csv"], default="json")
     s.add_argument("--out", type=str, default=None)
 
@@ -165,12 +163,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_verify(args) -> int:
     prime = _checked_prime(args.prime)
     trials = _checked_count(args.trials, "--trials")
-    jobs = _checked_count(args.jobs, "--jobs", minimum=1)
     checks = None if args.checks is None else \
         [c.strip() for c in args.checks.split(",") if c.strip()]
     try:
-        rep = verify.run_suite(prime, _seed_from(args), trials,
-                               checks=checks, jobs=jobs)
+        rep = verify.run_suite(prime, _seed_from(args), trials, checks=checks)
     except ValueError as exc:
         raise UsageError(str(exc))
     emit_report(rep.to_json_dict(), args.out)
@@ -189,13 +185,11 @@ def _cmd_autdim(args) -> int:
 
 def _cmd_strata(args) -> int:
     samples = _checked_count(args.samples, "--samples", minimum=1)
-    jobs = _checked_count(args.jobs, "--jobs", minimum=1)
     # a relative singular-value tolerance: at 1 or above every sample is
     # corank 24, at 0 or below corank 0
     tol = _checked_tol(args.tol, below=1.0)
     census = strata.corank_census(Hypersurface(args.surface), args.matrix,
-                                  samples, tol=tol,
-                                  seed=_seed_from(args), jobs=jobs)
+                                  samples, tol=tol, seed=_seed_from(args))
     if args.format == "csv":
         lines = ["corank,count"]
         lines += [f"{k},{v}" for k, v in sorted(census.histogram.items())]
@@ -217,8 +211,8 @@ def _cmd_reduce(args) -> int:
             raise UsageError(f"non-generic input: {exc.detail}")
         if exc.step == "final state":
             raise UsageError(f"tolerance not reached: {exc.detail}")
-        raise UsageError(f"reduction failed at step '{exc.step}' on an input the "
-                         f"group treats as generic: {exc.detail}")
+        raise UsageError(f"reduction failed at step '{exc.step}' on an input that "
+                         f"passed the det_cartan test: {exc.detail}")
     transcript = word.to_json_dict()
     if args.transcript is not None:
         emit_report(transcript, args.transcript)

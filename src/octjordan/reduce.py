@@ -362,6 +362,8 @@ def reduce_to_identity(t: HermitianTriple, tol: float = 1e-6,
     identity; the trailing scalar carries the C* factor of the action."""
     if not isinstance(t.ring, ComplexField):
         raise ValueError("the reduction runs in complex arithmetic")
+    if t.level != 3:
+        raise ValueError("the reduction runs on level-3 (octonion) points")
     rng = random.Random(seed)
     word = TransformWord()
     state = t

@@ -15,16 +15,14 @@ triple: one numpy lane per sample, each lane drawing from its own
 generator exactly as a lone sample would.  The invariants, the l3 solve
 and the residual check run once per try over all open lanes, and a lane
 that fails is redrawn from its own generator on the next try.  `sample_on`
-is the one-lane case.  A census chunk samples its index range as one
-stack and builds and decomposes the matrices of all its points at once;
-lanes do not interact, so any chunking of a census gives the same bytes.
+is the one-lane case.  A census samples all its points as one stack and
+builds and decomposes their matrices at once.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +54,7 @@ EXPECTED_CORANK = {
 
 LEADING_TOL = 1e-12
 RESIDUAL_TOL = 1e-9
+MAX_TRIES = 200
 
 
 class SamplingError(RuntimeError):
@@ -66,27 +65,26 @@ def surface_value(surface: Hypersurface, t: HermitianTriple):
     return _INVARIANTS[surface][0](t)
 
 
-def sample_on(surface: Hypersurface, rng, ring: ComplexField | None = None,
-              max_tries: int = 200) -> HermitianTriple:
+def sample_on(surface: Hypersurface, rng) -> HermitianTriple:
     """Random point with |h(A)| <= 1e-9 * max(1, ||A||)^deg on the chosen surface."""
-    return lane(sample_lanes(surface, [rng], ring, max_tries), 0)
+    return lane(sample_lanes(surface, [rng]), 0)
 
 
-def sample_lanes(surface: Hypersurface, rngs, ring: ComplexField | None = None,
-                 max_tries: int = 200) -> HermitianTriple:
+def sample_lanes(surface: Hypersurface, rngs) -> HermitianTriple:
     """One surface point per generator, as the lanes of a stacked triple.
 
     Each try draws a base from every open lane's own generator and then
     evaluates the invariant for all of them at once.  Lane i consumes
     rngs[i] as a lone sample would: the 27 base coordinates per try, then
     the root-sign draw once the leading coefficient has passed.  A lane
-    whose leading coefficient or residual fails is redrawn on the next try.
+    whose leading coefficient or residual fails is redrawn on the next try,
+    up to MAX_TRIES tries.
     """
-    ring = ring or ComplexField()
+    ring = ComplexField()
     invariant, degree, l3_degree = _INVARIANTS[surface]
     flat = np.empty((27, len(rngs)), dtype=np.complex128)
     pending = np.arange(len(rngs))
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         if not pending.size:
             break
         base = stack_lanes(ring, [random_triple(ring, 3, rngs[i]) for i in pending])
@@ -116,7 +114,7 @@ def sample_lanes(surface: Hypersurface, rngs, ring: ComplexField | None = None,
         pending = pending[~ok]
     if pending.size:
         raise SamplingError(f"no well-conditioned sample on {surface.value} "
-                            f"after {max_tries} tries")
+                            f"after {MAX_TRIES} tries")
     return unflatten(ring, 3, list(flat))
 
 
@@ -164,64 +162,30 @@ def _corank_and_gap(s: np.ndarray, tol: float):
     return len(s) - r, gap
 
 
-def _census_chunk(surface_value: str, matrix: str, tol: float, seed: int,
-                  lo: int, hi: int):
-    """One index range of the census, sampled and decomposed as one stack;
-    merging chunk results is commutative."""
-    surface = Hypersurface(surface_value)
+def corank_census(surface: Hypersurface, matrix: str, samples: int,
+                  tol: float = 1e-8, seed: int = 0) -> CorankCensus:
+    """Histogram of 24 - rank at sampled surface points.
+
+    Sample i draws from its own generator, derived from (seed, surface,
+    matrix, i); all samples are drawn as one stack and decomposed by one
+    batched SVD, and the witness is the first sample of the expected corank.
+    """
+    if matrix not in ("M", "N"):
+        raise ValueError("matrix must be 'M' or 'N'")
     build = build_M if matrix == "M" else build_N
     expected = EXPECTED_CORANK.get((surface, matrix))
-    rngs = [derive_rng(seed, "strata", surface_value, matrix, i) for i in range(lo, hi)]
+    rngs = [derive_rng(seed, "strata", surface.value, matrix, i) for i in range(samples)]
     points = sample_lanes(surface, rngs)
     hist: dict = {}
     gaps_ok = 0
-    witness = None  # (index, corank, triple json)
+    witness_corank = witness = None
     for j, s in enumerate(np.linalg.svd(build(points), compute_uv=False)):
         corank, gap = _corank_and_gap(s, tol)
         hist[corank] = hist.get(corank, 0) + 1
         if gap >= 1e4:
             gaps_ok += 1
         if witness is None and (corank == expected or expected is None):
-            witness = (lo + j, corank, triple_to_json(lane(points, j)))
-    return hist, gaps_ok, witness
-
-
-def corank_census(surface: Hypersurface, matrix: str, samples: int,
-                  tol: float = 1e-8, seed: int = 0, jobs: int = 1) -> CorankCensus:
-    """Histogram of 24 - rank at sampled surface points.
-
-    Per-sample generators derive from (seed, surface, index), so chunked or
-    parallel evaluation produces the identical census.  At most
-    min(jobs, samples, os.cpu_count()) worker processes are started.
-    """
-    if matrix not in ("M", "N"):
-        raise ValueError("matrix must be 'M' or 'N'")
-    jobs = min(jobs, samples, os.cpu_count() or 1)
-    if jobs > 1:
-        import multiprocessing
-        bounds = [(samples * k // jobs, samples * (k + 1) // jobs) for k in range(jobs)]
-        with multiprocessing.Pool(jobs) as pool:
-            parts = pool.starmap(_census_chunk,
-                                 [(surface.value, matrix, tol, seed, lo, hi)
-                                  for lo, hi in bounds])
-    else:
-        parts = [_census_chunk(surface.value, matrix, tol, seed, 0, samples)]
-    return _merge_chunks(surface, matrix, samples, tol, seed, parts)
-
-
-def _merge_chunks(surface: Hypersurface, matrix: str, samples: int, tol: float,
-                  seed: int, parts) -> CorankCensus:
-    """The census of _census_chunk results that cover 0..samples, in any order."""
-    hist: dict = {}
-    gaps_ok = 0
-    witness = None
-    for h, g, w in parts:
-        for k, v in h.items():
-            hist[k] = hist.get(k, 0) + v
-        gaps_ok += g
-        if w is not None and (witness is None or w[0] < witness[0]):
-            witness = w
+            witness_corank, witness = corank, triple_to_json(lane(points, j))
     return CorankCensus(surface.value, matrix, samples, tol, seed, hist,
-                        gap_ratios_ok=gaps_ok,
-                        witness_corank=None if witness is None else witness[1],
-                        witness=None if witness is None else witness[2])
+                        gap_ratios_ok=gaps_ok, witness_corank=witness_corank,
+                        witness=witness)

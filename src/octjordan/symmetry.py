@@ -251,7 +251,8 @@ def _nilpotent_word(p: int) -> tuple:
     A2 = u w^T - w u^T with u, w in Im O, u isotropic and orthogonal to w,
     so A2^2 = -(w.w) u u^T, A2^3 = 0 and A1^2 = 0.  The first u takes one
     square root, and each later u is the second point q(v) u0 - 2 (u0.v) v
-    where the line u0 + s v meets the quadric."""
+    where the line u0 + s v meets the quadric.  A draw whose A2 stack has
+    rank below 21 = dim so7 is replaced by the next 21 pairs."""
     ring = PrimeField(p)
     rng = random.Random(f"spin7-word:{p}")
 
@@ -266,15 +267,20 @@ def _nilpotent_word(p: int) -> tuple:
         u0 = draw()
     u0[7] = root
     half = ring.inv(2)
-    a2, h = [], []
-    for _ in range(WORD_LENGTH):
-        v, w = draw(), draw()
-        u = [(dot(v, v) * a - 2 * dot(u0, v) * b) % p for a, b in zip(u0, v)]
-        i, uw = next((i for i in range(8) if u[i]), 0), dot(u, w)
-        w = [(u[i] * b - (uw if k == i else 0)) % p for k, b in enumerate(w)]  # w.u = 0
-        a2.append([[(u[r] * w[c] - w[r] * u[c]) % p for c in range(8)] for r in range(8)])
-        h.append([[-half * dot(w, w) * x * y % p for y in u] for x in u])
-    a2 = ring.array(a2)
+    rank = 0
+    # the A2 stack is the word's derivative at t = 0: redraw all its pairs
+    # until they span so7, so the word reaches all of Spin7
+    while rank < WORD_LENGTH:
+        a2, h = [], []
+        for _ in range(WORD_LENGTH):
+            v, w = draw(), draw()
+            u = [(dot(v, v) * a - 2 * dot(u0, v) * b) % p for a, b in zip(u0, v)]
+            i, uw = next((i for i in range(8) if u[i]), 0), dot(u, w)
+            w = [(u[i] * b - (uw if k == i else 0)) % p for k, b in enumerate(w)]  # w.u = 0
+            a2.append([[(u[r] * w[c] - w[r] * u[c]) % p for c in range(8)] for r in range(8)])
+            h.append([[-half * dot(w, w) * x * y % p for y in u] for x in u])
+        a2 = ring.array(a2)
+        rank = len(linalg._echelon(p, a2.reshape(WORD_LENGTH, 64), reduced=False)[1])
     out = (triality_partner(ring, a2, half), a2, ring.array(h))
     for m in out:
         m.flags.writeable = False

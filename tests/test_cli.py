@@ -248,6 +248,17 @@ def test_strata_rejects_a_relative_tol_outside_zero_to_one(capsys):
         assert "--tol" in err
 
 
+def test_reduce_refuses_a_point_below_level_three(capsys, tmp_path):
+    # off the diagonal the pipeline would hit a shape error in a level-3 move
+    path = tmp_path / "point.json"
+    for t in (identity_triple(ComplexField(), 1),
+              random_triple(ComplexField(), 1, random.Random(3))):
+        path.write_text(json.dumps(triple_to_json(t)))
+        code, out, err = run(capsys, "reduce", "--input", str(path))
+        assert code == 2 and out == ""
+        assert "the reduction runs on level-3 (octonion) points" in err
+
+
 def test_reduce_non_generic_exit(capsys, tmp_path):
     t = identity_triple(ComplexField(), 3)
     bad = triple_to_json(t)
@@ -283,8 +294,8 @@ def test_reduce_messages_name_the_failed_step(capsys, tmp_path):
         (degenerate, "1e-6", "non-generic input: det_cartan below the genericity threshold"),
         (generic, "1e-17", "tolerance not reached: replay residual"),
         (_dressed_pivot_zero(random.Random(12)), "1e-6",
-         "reduction failed at step 'round 1: kill a' on an input the group treats as "
-         "generic: lambda2 below"),
+         "reduction failed at step 'round 1: kill a' on an input that passed the "
+         "det_cartan test: lambda2 below"),
     ]
     for point, tol, message in cases:
         path = tmp_path / "point.json"
@@ -306,10 +317,10 @@ def test_seed_env_fallback(capsys, monkeypatch, tmp_path):
     assert code == 2
 
 
-def test_jobs_flag_census_identical(capsys, tmp_path):
-    p1, p2 = tmp_path / "s1.json", tmp_path / "s2.json"
-    base = ["strata", "--surface", "sodm", "--matrix", "M", "--samples", "8",
-            "--seed", "5"]
-    assert main(base + ["--out", str(p1)]) == 0
-    assert main(base + ["--jobs", "4", "--out", str(p2)]) == 0
-    assert p1.read_text() == p2.read_text()
+def test_jobs_flag_is_refused(capsys):
+    # both commands run in this process only
+    for argv in (["verify", "--trials", "1", "--checks", "c6"],
+                 ["strata", "--surface", "sodm", "--matrix", "M", "--samples", "2"]):
+        code, out, err = run(capsys, *argv, "--jobs", "2")
+        assert code == 2 and out == ""
+        assert "--jobs" in err

@@ -1,8 +1,5 @@
 import cmath
-import json
 import math
-import multiprocessing
-import os
 
 import numpy as np
 import pytest
@@ -14,8 +11,8 @@ from octjordan.jordan import (HermitianTriple, build_M, build_N,
                               twisted_cubic, twisted_sextic)
 from octjordan.strata import (_INVARIANTS, EXPECTED_CORANK, LEADING_TOL,
                               RESIDUAL_TOL, Hypersurface, SamplingError,
-                              _census_chunk, _merge_chunks, corank_census,
-                              sample_lanes, sample_on, surface_value)
+                              corank_census, sample_lanes, sample_on,
+                              surface_value)
 from octjordan.reduce import chart_pair, expm
 from octjordan.symmetry import TrialityTriple, spin7_act
 
@@ -102,9 +99,10 @@ def test_sampled_points_hold_python_complex_scalars(surface):
 def test_sampler_gives_each_lane_max_tries_draws(monkeypatch, tol_name, value, sign_draws):
     # a failed lead skips the root-sign draw; a failed residual follows it
     monkeypatch.setattr(strata, tol_name, value)
+    monkeypatch.setattr(strata, "MAX_TRIES", 4)
     rngs = [derive_rng(0, "tries", i) for i in range(3)]
     with pytest.raises(SamplingError):
-        sample_lanes(Hypersurface.TWISTED_SEXTIC, rngs, max_tries=4)
+        sample_lanes(Hypersurface.TWISTED_SEXTIC, rngs)
     for i, rng in enumerate(rngs):
         fresh = derive_rng(0, "tries", i)
         for _ in range(4):
@@ -117,12 +115,12 @@ def test_sampler_gives_each_lane_max_tries_draws(monkeypatch, tol_name, value, s
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("surface,matrix", PAIRS)
 def test_stacked_census_matches_the_per_sample_reference(surface, matrix, seed):
-    hist, gaps_ok, (index, corank, witness) = _census_chunk(surface.value, matrix, 1e-8,
-                                                            seed, 0, 40)
-    ref_hist, ref_gaps, (ref_index, ref_corank, ref_point) = \
+    census = corank_census(surface, matrix, samples=40, tol=1e-8, seed=seed)
+    ref_hist, ref_gaps, (_ref_index, ref_corank, ref_point) = \
         _reference_census(surface, matrix, 1e-8, seed, 40)
-    assert (hist, gaps_ok, index, corank) == (ref_hist, ref_gaps, ref_index, ref_corank)
-    point = triple_from_json(C, witness)
+    assert (census.histogram, census.gap_ratios_ok, census.witness_corank) == \
+        (ref_hist, ref_gaps, ref_corank)
+    point = triple_from_json(C, census.witness)
     assert (point.a, point.b, point.c) == (ref_point.a, ref_point.b, ref_point.c)
     assert point.lambdas[:2] == ref_point.lambdas[:2]
     assert abs(point.lambdas[2] - ref_point.lambdas[2]) <= 1e-9 * abs(ref_point.lambdas[2])
@@ -200,13 +198,11 @@ def test_census_determinism_and_merge_consistency():
     a = corank_census(Hypersurface.S_ODM, "M", samples=10, seed=7).to_json_dict()
     b = corank_census(Hypersurface.S_ODM, "M", samples=10, seed=7).to_json_dict()
     assert a == b
-    # lanes are independent: any chunking merges to the same bytes
+    # lanes are independent: a longer census keeps the witness of a shorter one
     for surface, matrix in PAIRS:
-        parts = [_census_chunk(surface.value, matrix, 1e-8, 5, lo, hi)
-                 for lo, hi in ((7, 20), (0, 1), (1, 7))]
-        chunked = _merge_chunks(surface, matrix, 20, 1e-8, 5, parts)
+        short = corank_census(surface, matrix, samples=3, tol=1e-8, seed=5)
         whole = corank_census(surface, matrix, samples=20, tol=1e-8, seed=5)
-        assert json.dumps(chunked.to_json_dict()) == json.dumps(whole.to_json_dict())
+        assert short.witness is not None and whole.witness == short.witness
 
 
 def test_group_moves_preserve_corank():
@@ -221,32 +217,3 @@ def test_group_moves_preserve_corank():
         r0 = linalg.rank(C, build_N(t), tol=1e-8)
         r1 = linalg.rank(C, build_N(moved), tol=1e-8)
         assert r0 == r1
-
-
-def test_census_workers_are_capped_at_the_cpu_count(monkeypatch):
-    # a fake pool records its process count and runs the chunks inline, so
-    # no worker is started whatever jobs asks for
-    started = []
-
-    class InlinePool:
-        def __init__(self, processes):
-            started.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def starmap(self, fn, args):
-            return [fn(*a) for a in args]
-
-    monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
-    serial = corank_census(Hypersurface.S_ODM, "M", samples=7, seed=2).to_json_dict()
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    capped = corank_census(Hypersurface.S_ODM, "M", samples=7, seed=2, jobs=100_000)
-    assert started == [3] and capped.to_json_dict() == serial
-    # an unknown cpu count runs the census in this process
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    alone = corank_census(Hypersurface.S_ODM, "M", samples=7, seed=2, jobs=100_000)
-    assert started == [3] and alone.to_json_dict() == serial

@@ -475,3 +475,26 @@ def test_word_generators_span_so7_at_small_primes():
         a2 = symmetry._nilpotent_word(p)[1]
         assert linalg.rank(PrimeField(p), a2.reshape(WORD_LENGTH, 64)) == WORD_LENGTH, p
 
+
+def test_word_redraws_pairs_that_do_not_span_so7(monkeypatch):
+    # a deficient first draw is replaced by the next 21 pairs of the generator
+    p = 313
+    first = symmetry._nilpotent_word(p)
+    echelon, calls = linalg._echelon, []
+
+    def deficient_once(*args, **kwargs):
+        m, pivots, detf = echelon(*args, **kwargs)
+        calls.append(len(pivots))
+        return m, pivots[:-1] if len(calls) == 1 else pivots, detf
+
+    monkeypatch.setattr(linalg, "_echelon", deficient_once)
+    symmetry._nilpotent_word.cache_clear()
+    try:
+        redrawn = symmetry._nilpotent_word(p)
+    finally:
+        symmetry._nilpotent_word.cache_clear()
+    assert calls == [WORD_LENGTH, WORD_LENGTH]
+    assert not np.array_equal(redrawn[1], first[1])
+    monkeypatch.setattr(symmetry, "_nilpotent_word", lambda q: redrawn)
+    assert random_spin7(PrimeField(p), derive_rng(0, "redrawn")).defect() == 0
+

@@ -53,15 +53,6 @@ def test_determinism():
     assert a == b
 
 
-def test_parallel_matches_serial():
-    serial = _strip_timing(run_suite(P31, seed=2, trials=2,
-                                     checks=["c3", "c6", "c10"]).to_json_dict())
-    parallel = _strip_timing(run_suite(P31, seed=2, trials=2,
-                                       checks=["c3", "c6", "c10"],
-                                       jobs=3).to_json_dict())
-    assert serial == parallel
-
-
 def test_flipped_phi_sign_fails_c6_at_trial_one(monkeypatch):
     # mutation sanity: a wrong phi convention must trip the det oracle
     true_sodm = jordan.s_odm
@@ -156,3 +147,14 @@ def test_c9_redraws_a_singular_congruence(monkeypatch):
     monkeypatch.setattr(symmetry, "sl3_act", counting)
     verify._c9_sl3_and_ratios(PrimeField(29), derive_rng(0, "C9", 72))
     assert calls
+
+
+@pytest.mark.parametrize("action,invariant", [("so7_act", "S_ODM"),
+                                              ("spin7_act", "twisted sextic")])
+def test_c9_fails_an_invariant_scaled_by_the_action(monkeypatch, action, invariant):
+    # a constant multiplier of 2^6 keeps every ratio but breaks invariance
+    true_act = getattr(symmetry, action)
+    monkeypatch.setattr(symmetry, action, lambda *args: true_act(*args).scale(2))
+    rep = run_suite(P31, seed=0, trials=2, checks=["c9"])
+    assert not rep.all_passed
+    assert f"{invariant} invariance under" in rep.results[0].detail
