@@ -1,4 +1,4 @@
-"""Formal expansion of the degeneracy sextic and the automorphism bound.
+"""The automorphism bound of the degeneracy sextic, and its formal expansion.
 
 The sextic is expanded as an honest polynomial in the 27 coordinates by
 running the Jordan-algebra formulas with sparse-polynomial coefficients;
@@ -10,7 +10,9 @@ code takes the same sum-then-reduce product on polynomial scalars as on
 field elements.  Terms are keyed end to end by their exponents packed one
 byte per variable into an int: a product adds keys, a derivative subtracts
 one from a byte, and exponent tuples are spelt out only for the `terms`
-view and for eval.
+view and for eval.  The bound uses no expansion: the expansion, its
+gather-form `gradient` and the chart monomials are the reference the
+tests hold the bound's closed forms and ranks against.
 
 The bound.  Through a random linear chart x = m z, m: F_p^6 -> F_p^27,
 the 162 products z_j dS/dx_i(m z) are degree-6 polynomials in the six
@@ -34,14 +36,14 @@ sextic (104).  At p = 3, where z^3 = z on F_3, they part: the retries of
 seed 1 read 129, 123 and 132 where the coefficient ranks are 133 three
 times, so the bound reads 30, which still holds.
 
-The gradient is built once per bound, in gather form: per partial, the
-five variable indices and the coefficient of every term, read in one
-numpy pass from the packed keys.  Each retry then evaluates every
-partial at every point at once, as the sum over its terms of the
-coefficient times five coordinates gathered from x.  The products stay
-unreduced while the partial's sum fits in int64 (p = 313) and are reduced
-after every factor otherwise (p = 2^31 - 1), so every prime PolyRing
-accepts stays in int64.
+The partials are not expanded.  jordan.s_odm_gradient and
+twisted_sextic_gradient give them in closed form in the octonion algebra
+and run once per chart on lane-stacked scalars: each of the 27
+coordinates is an array holding its value at all 162 points x = m z_k.
+The lanes are int64 while every unreduced value of those formulas fits (a
+sum of at most 32 products of three residues, so up to p of about 6.6e5,
+which covers p = 313), and Python ints otherwise, so the bound runs at
+every odd prime.
 
 The rank over F_p at a rational point lower-bounds the characteristic-0
 rank at the same point (semicontinuity), so the reported bound uses the
@@ -62,7 +64,8 @@ import numpy as np
 from . import cayley, linalg
 from .cayley import AlgebraElement
 from .coeffs import PrimeField, derive_rng
-from .jordan import HermitianTriple, det_cartan, twisted_sextic
+from .jordan import (HermitianTriple, det_cartan, s_odm_gradient, twisted_sextic,
+                     twisted_sextic_gradient, unflatten)
 
 N_VARS = 27
 CHART_VARS = 6
@@ -332,39 +335,29 @@ def _raise_map(degree: int, var: int) -> np.ndarray:
     return out
 
 
-def gradient_at(grad: tuple, x: np.ndarray, prime: int) -> np.ndarray:
-    """Every partial of a gradient() at every column of x, mod prime: row i
-    holds partial i at the points x[:, k].
-
-    A partial is one sum over its terms of the coefficient times the
-    term's coordinates gathered from x, one factor at a time.  The products
-    stay unreduced when the partial's whole sum fits in int64 and are
-    reduced after every factor otherwise."""
-    x = np.asarray(x, dtype=np.int64) % prime
-    out = np.zeros((len(grad), x.shape[1]), dtype=np.int64)
-    for i, (factors, coeffs) in enumerate(grad):
-        if not len(coeffs):
-            continue
-        lazy = len(coeffs) * (prime - 1) ** (factors.shape[1] + 1) < 1 << 63
-        acc = coeffs[:, None]
-        for var in factors.T:
-            acc = acc * x[var] if lazy else acc * x[var] % prime
-        out[i] = acc.sum(axis=0) % prime
-    return out
+def _lane_peak(prime: int) -> int:
+    """The largest magnitude the closed-form gradients reach on residues:
+    each unreduced value is a sum of at most 32 products of at most three
+    residues (see jordan.s_odm_gradient)."""
+    return 32 * (prime - 1) ** 3
 
 
-def jacobian_image_rank(grad: tuple, m: np.ndarray, points: np.ndarray, prime: int, *,
+def jacobian_image_rank(partials, m: np.ndarray, points: np.ndarray, prime: int, *,
                         stage_sec: dict | None = None) -> int:
     """Rank of the matrix with entry ((i, j), k) = z_jk dS/dx_i(m z_k), the
     products z_j dS/dx_i on the chart x = m z evaluated at the columns z_k
-    of points (6 x K).
+    of points (6 x K).  partials is jordan.s_odm_gradient or
+    twisted_sextic_gradient; it runs once, on the points x = m z_k stacked
+    as lanes.
 
     stage_sec, when given, accumulates the seconds spent evaluating the
     matrix ("restrict") and ranking it ("rank")."""
     start = time.perf_counter()
     field = PrimeField(prime)
     z = field.array(points)
-    values = gradient_at(grad, linalg.matmul(field, field.array(m), z), prime)
+    x = linalg.matmul(field, field.array(m), z)
+    t = unflatten(field, 3, list(field.array(x, peak=_lane_peak(prime))))
+    values = field.array(np.stack(partials(t)))
     rows = (values[:, None, :] * z % prime).reshape(-1, z.shape[1])
     built = time.perf_counter()
     out = linalg.rank(field, rows)
@@ -386,43 +379,35 @@ def random_points(prime: int, rng) -> np.ndarray:
                      for _ in range(CHART_ROWS)], dtype=np.int64).T
 
 
+_GRADIENTS = {"sodm": s_odm_gradient, "twisted_sextic": twisted_sextic_gradient}
+
+
 def aut_dimension_bound(prime: int, seed: int, retries: int,
                         invariant: str = "sodm") -> dict:
-    """Expansion, then the evaluation rank at `retries` random charts; the bound
+    """The evaluation rank at `retries` random charts; the bound
     dim aut(sextic) <= 162 - max rank.  invariant = "twisted_sextic" runs
     the same pipeline on the twisted-problem sextic (no published target)."""
-    if invariant not in ("sodm", "twisted_sextic"):
+    if invariant not in _GRADIENTS:
         raise ValueError("invariant must be 'sodm' or 'twisted_sextic'")
     start = time.perf_counter()
-    poly = expand_sodm(prime) if invariant == "sodm" else expand_twisted_sextic(prime)
-    expanded = time.perf_counter()
-    grad = gradient(poly, prime)
-    gradient_elapsed = time.perf_counter() - expanded
-    degree = poly.total_degree()
     ranks = []
     stage_sec = {"restrict": 0.0, "rank": 0.0}
     for k in range(retries):
         rng = derive_rng(seed, "autdim", invariant, k)
         m = random_restriction(prime, rng)
         points = random_points(prime, rng)
-        ranks.append(jacobian_image_rank(grad, m, points, prime, stage_sec=stage_sec))
+        ranks.append(jacobian_image_rank(_GRADIENTS[invariant], m, points, prime,
+                                         stage_sec=stage_sec))
     report = {
         "prime": prime,
         "seed": seed,
         "retries": retries,
         "invariant": invariant,
-        "sextic_terms": len(poly),
-        "sextic_degree": degree,
         "ranks": ranks,
         "elapsed_sec": time.perf_counter() - start,
-        "expand_sec": expanded - start,
-        "gradient_sec": gradient_elapsed,
         "restrict_sec": stage_sec["restrict"],
         "rank_sec": stage_sec["rank"],
     }
-    if invariant == "sodm":
-        report["sodm_terms"] = len(poly)
-        report["sodm_degree"] = degree
     if ranks:
         best = max(ranks)
         report["max_rank"] = best

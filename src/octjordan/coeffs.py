@@ -15,7 +15,9 @@ reduce once per formula or per coordinate.  Both fields provide:
   products is exact;
 - dtype, the numpy dtype of field arrays: int64 at every prime up to
   INT64_SAFE_MODULUS, object (Python ints) past it, complex128 over C; and
-  array(x), x as such an array, reduced mod p;
+  array(x), x as such an array, reduced mod p.  PrimeField.array(x, peak)
+  picks int64 or object from the largest magnitude the caller's unreduced
+  arithmetic on the entries reaches, for lane-stacked scalars;
 - is_zero(a): exact over F_p, |a| <= ComplexField.TOL over C;
 - encode(s) / decode(v), the JSON scalar: a decimal string from a decimal
   string or integer over F_p, [re, im] from two finite numbers over C.
@@ -112,8 +114,13 @@ class PrimeField:
     def is_zero(self, a) -> bool:
         return a % self.p == 0
 
-    def array(self, x) -> np.ndarray:
-        return np.array(x, dtype=self.dtype) % self.p
+    def array(self, x, peak: int | None = None) -> np.ndarray:
+        """x as an array of residues, of dtype self.dtype.  Given peak, the
+        largest magnitude that the caller's unreduced arithmetic on the
+        entries can reach, the dtype is int64 when peak fits in it and
+        object (Python ints) otherwise."""
+        dtype = self.dtype if peak is None else np.int64 if peak < 1 << 63 else object
+        return np.array(x, dtype=dtype) % self.p
 
     def encode(self, s) -> str:
         return str(int(s))

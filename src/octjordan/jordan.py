@@ -10,14 +10,18 @@ elements,
 with the flat coordinate order c(1..2^k), b, a, l1, l2, l3 (so 27
 coordinates at the octonion level).  The module provides the degree-3 and
 degree-6 invariants (Cartan determinant, comatrix, the octonionic
-degeneracy sextic, the twisted cubic and twisted sextic) and the two
-24x24 block matrices whose determinants those invariants govern:
-det(M) = sextic^4 and det(N) = cubic^4 * twisted_sextic^2.
+degeneracy sextic, the twisted cubic and twisted sextic), closed-form
+gradients of the two sextics, and the two 24x24 block matrices whose
+determinants those invariants govern: det(M) = sextic^4 and
+det(N) = cubic^4 * twisted_sextic^2.
 
 Over C every scalar of a triple may also be a complex128 array of shape
 (S,), one lane per point (`stack_lanes`, `lane`).  The invariants then
 return an (S,) array, the comatrix a stacked triple, and `build_M` /
 `build_N` an (S, 24, 24) stack, all from the same formulas as one point.
+Over F_p the scalars may likewise be int64 or object arrays, one lane per
+point, while every unreduced value fits the dtype; autdim evaluates the
+gradients that way.
 """
 
 from __future__ import annotations
@@ -157,6 +161,87 @@ def twisted_sextic(t: HermitianTriple):
     four = r.from_int(4)
     tail = nb * na * (re_c * re_c) + nc * (re_ab * re_ab) - na * nb * nc
     return r.reduce(env * env - four * (env * (re_c * re_ab)) + four * tail)
+
+
+def s_odm_gradient(t: HermitianTriple) -> list:
+    """The 27 partials of s_odm in flatten() order (c, b, a, l1, l2, l3).
+
+    With S = d^2 - 4 phi d - |A|^2, d = det_cartan and A = [c, b, a],
+    grad S = (2d - 4 phi) grad d - 4 d grad phi - grad |A|^2.  grad d is
+    the comatrix, (2 com.c, 2 com.b, 2 com.a, com.lambdas).  The octonion
+    parts of the other two follow from B(xy, z) = B(y, conj(x) z) =
+    B(x, z conj(y)) (Springer & Veldkamp 2000, ch. 1), in the order c, b, a:
+
+        grad phi   = 1/2 (a'b - ba',  ac - ca,  bc' - c'b)
+        grad |A|^2 = 2 ((Aa')b' - A (ba)',  c'(Aa') - (c'A)a',  (cb)'A - b'(c'A))
+
+    with x' = conj(x).  phi is linear in a, so phi = B(a, grad_a phi).
+    Every unreduced value is a sum of at most 32 products of at most three
+    reduced scalars."""
+    if t.level != 3:
+        raise ValueError("sextic defined at level 3")
+    r = t.ring
+    a, b, c = t.a, t.b, t.c
+    ac, bc, cc = a.conjugate(), b.conjugate(), c.conjugate()
+    half = r.inv(r.from_int(2))
+    cb, ba = c * b, b * a
+    assoc = cb * a - c * ba
+    grad_phi = ((ac * b - b * ac).scale(half), (a * c - c * a).scale(half),
+                (b * cc - cc * b).scale(half))
+    assoc_a, c_assoc = assoc * ac, cc * assoc
+    grad_asq = (assoc_a * bc - assoc * ba.conjugate(), cc * assoc_a - c_assoc * ac,
+                cb.conjugate() * assoc - bc * c_assoc)
+    d = det_cartan(t)
+    ph = cayley.bilinear(a, grad_phi[2])
+    two, four = r.from_int(2), r.from_int(4)
+    k = r.reduce(d + d - four * ph)           # the coefficient of grad d
+    k2, d4 = r.reduce(k + k), r.reduce(four * d)
+    m = com(t)
+    out = [r.reduce(k2 * x - d4 * y - two * z)
+           for mx, gp, ga in zip((m.c, m.b, m.a), grad_phi, grad_asq)
+           for x, y, z in zip(mx.coords, gp.coords, ga.coords)]
+    return out + [r.reduce(k * x) for x in m.lambdas]
+
+
+def twisted_sextic_gradient(t: HermitianTriple) -> list:
+    """The 27 partials of twisted_sextic in flatten() order (c, b, a, l1,
+    l2, l3), by the chain rule on env^2 - 4 env c0 R + 4 tail, where
+    R = Re(ab) = B(a, b'), c0 = Re(c) and tail = |a|^2 |b|^2 c0^2 +
+    |c|^2 R^2 - |a|^2 |b|^2 |c|^2.  With e = 2 env - 4 c0 R and
+    w = 4 env:
+
+        d/dc  = (2 e l3 + 8 R^2 - 8 |a|^2 |b|^2) c + (8 |a|^2 |b|^2 c0 - w R) e1
+        d/db  = (2 e l2 + 8 |a|^2 c0^2 - 8 |a|^2 |c|^2) b + (8 |c|^2 R - w c0) a'
+        d/da  = (2 e l1 + 8 |b|^2 c0^2 - 8 |b|^2 |c|^2) a + (8 |c|^2 R - w c0) b'
+        d/dl1 = e (|a|^2 - l2 l3), and cyclically for l2 and l3.
+
+    Every unreduced value is a sum of at most 32 products of at most three
+    reduced scalars."""
+    if t.level != 3:
+        raise ValueError("twisted invariants defined at level 3")
+    r = t.ring
+    l1, l2, l3 = t.lambdas
+    a, b, c = t.a, t.b, t.c
+    na, nb, nc = a.norm_sq(), b.norm_sq(), c.norm_sq()
+    ac, bc = a.conjugate(), b.conjugate()
+    c0 = c.real_part()
+    re_ab = cayley.bilinear(a, bc)
+    two, four, eight = r.from_int(2), r.from_int(4), r.from_int(8)
+    env = r.reduce(l1 * na + l2 * nb + l3 * nc - l1 * l2 * l3)
+    e = r.reduce(env + env - four * (c0 * re_ab))
+    w = r.reduce(four * env)
+    c0sq, nanb = r.reduce(c0 * c0), r.reduce(na * nb)
+    cross = r.reduce(eight * (nc * re_ab) - w * c0)
+    own_c = r.reduce(two * e * l3 + eight * (re_ab * re_ab) - eight * nanb)
+    grad_c = [r.reduce(own_c * u) for u in c.coords]
+    grad_c[0] = r.reduce(own_c * c0 + eight * (nanb * c0) - w * re_ab)
+    own_b = r.reduce(two * e * l2 + eight * (na * c0sq) - eight * (na * nc))
+    own_a = r.reduce(two * e * l1 + eight * (nb * c0sq) - eight * (nb * nc))
+    grad_b = [r.reduce(own_b * u + cross * v) for u, v in zip(b.coords, ac.coords)]
+    grad_a = [r.reduce(own_a * u + cross * v) for u, v in zip(a.coords, bc.coords)]
+    grad_l = [r.reduce(e * (na - l2 * l3)), r.reduce(e * (nb - l1 * l3)),
+              r.reduce(e * (nc - l1 * l2))]
+    return grad_c + grad_b + grad_a + grad_l
 
 
 def build_M(t: HermitianTriple) -> np.ndarray:

@@ -205,7 +205,7 @@ def _nonsingular(ring, draw):
             return h, dh
 
 
-def _c9_sl3_and_ratios(ring, rng):
+def _c9_sl3_and_invariance(ring, rng):
     h, dh = _nonsingular(ring, lambda: [[ring.random(rng) for _ in range(3)]
                                         for _ in range(3)])
     points = [random_triple(ring, 3, rng) for _ in range(5)]
@@ -355,7 +355,7 @@ _CHECKS = [
     ("C6", "det(M_O) = S_ODM^4", 24, _c6_det_m),
     ("C7", "det(N_O) = cubic^4 * sextic^2", 24, _c7_det_n),
     ("C8", "M_O and N_O conjugation equivariance", 1, _c8_equivariance),
-    ("C9", "SL3 covariance and invariant-ratio constancy", 12, _c9_sl3_and_ratios),
+    ("C9", "SL3 covariance and SO7/Spin7 invariance", 12, _c9_sl3_and_invariance),
     ("C10", "twisted multiplicity bound rank <= 4", 15, _c10_multiplicity),
     ("C11", "Schur factorizations from the degeneracy proofs", 24, _c11_schur),
     ("charpoly", "untwisted characteristic polynomial factorization", 24, _charpoly_trial),

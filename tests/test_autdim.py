@@ -5,14 +5,17 @@ import pytest
 
 from octjordan import linalg
 from octjordan.autdim import (CHART_ROWS, CHART_VARS, PolyRing, SparsePoly,
-                              _monomials, _raise_map, aut_dimension_bound,
+                              _lane_peak, _monomials, _raise_map, aut_dimension_bound,
                               expand_sodm, expand_twisted_sextic, gradient,
-                              gradient_at, jacobian_image_rank, random_points,
+                              jacobian_image_rank, random_points,
                               random_restriction, symbolic_triple)
-from octjordan.coeffs import PrimeField, derive_rng
-from octjordan.jordan import random_triple, s_odm
+from octjordan.coeffs import PrimeField, derive_rng, is_prime
+from octjordan.jordan import (random_triple, s_odm, s_odm_gradient, twisted_sextic,
+                              twisted_sextic_gradient, unflatten)
 
 P31 = 2**31 - 1
+EXPANSIONS = ((expand_sodm, s_odm_gradient, s_odm),
+              (expand_twisted_sextic, twisted_sextic_gradient, twisted_sextic))
 
 
 def test_sparse_poly_arithmetic():
@@ -119,6 +122,27 @@ def _partials(poly, p):
     return [poly.diff(i, p) for i in range(poly.n)]
 
 
+def gradient_at(grad: tuple, x: np.ndarray, prime: int) -> np.ndarray:
+    """The reference evaluator: every partial of a gradient() at every
+    column of x, mod prime; row i holds partial i at the points x[:, k].
+
+    A partial is one sum over its terms of the coefficient times the
+    term's coordinates gathered from x, one factor at a time.  The products
+    stay unreduced when the partial's whole sum fits in int64 and are
+    reduced after every factor otherwise."""
+    x = np.asarray(x, dtype=np.int64) % prime
+    out = np.zeros((len(grad), x.shape[1]), dtype=np.int64)
+    for i, (factors, coeffs) in enumerate(grad):
+        if not len(coeffs):
+            continue
+        lazy = len(coeffs) * (prime - 1) ** (factors.shape[1] + 1) < 1 << 63
+        acc = coeffs[:, None]
+        for var in factors.T:
+            acc = acc * x[var] if lazy else acc * x[var] % prime
+        out[i] = acc.sum(axis=0) % prime
+    return out
+
+
 def _gather_terms(factors, coeffs, n):
     # the gather form read back into exponent tuples
     out = {}
@@ -211,14 +235,14 @@ def test_jacobian_rank_zero_map():
     p = 313
     points = random_points(p, derive_rng(0, "zero-map"))
     zero = np.zeros((27, 6), dtype=np.int64)
-    assert jacobian_image_rank(gradient(expand_sodm(p), p), zero, points, p) == 0
+    assert jacobian_image_rank(s_odm_gradient, zero, points, p) == 0
 
 
 def test_jacobian_rank_133_mod_313():
     p = 313
     m, points = _chart(p, derive_rng(0, "rank313"))
     assert points.shape == (CHART_VARS, CHART_ROWS)
-    r = jacobian_image_rank(gradient(expand_sodm(p), p), m, points, p)
+    r = jacobian_image_rank(s_odm_gradient, m, points, p)
     assert r == 133
     assert r <= CHART_ROWS
 
@@ -226,7 +250,7 @@ def test_jacobian_rank_133_mod_313():
 def test_jacobian_rank_133_survives_large_prime_rerun():
     # semicontinuity: rerunning over a large prime still reaches 133
     m, points = _chart(P31, derive_rng(0, "rankbig"))
-    assert jacobian_image_rank(gradient(expand_sodm(P31), P31), m, points, P31) == 133
+    assert jacobian_image_rank(s_odm_gradient, m, points, P31) == 133
 
 
 @pytest.mark.parametrize("prime", [313, P31])
@@ -306,8 +330,8 @@ def test_evaluation_rank_matches_the_coefficient_rank():
     rng = derive_rng(0, "evaluation-rank")
     twin = random_restriction(p, rng)
     twin[:, 4] = twin[:, 1]
-    for poly, generic in ((expand_sodm(p), 133), (expand_twisted_sextic(p), 104)):
-        grad, partials = gradient(poly, p), _partials(poly, p)
+    for (expand, grad, _), generic in zip(EXPANSIONS, (133, 104)):
+        partials = _partials(expand(p), p)
         charts = [random_restriction(p, rng) for _ in range(2)]
         charts += [np.zeros((27, CHART_VARS), dtype=np.int64), twin]
         ranks = [(jacobian_image_rank(grad, m, random_points(p, rng), p),
@@ -320,11 +344,14 @@ def test_evaluation_rank_matches_the_coefficient_rank():
 def test_aut_dimension_bound_reports():
     rep = aut_dimension_bound(313, seed=1, retries=3)
     assert rep["max_rank"] == 133
-    stages = [rep[k] for k in ("expand_sec", "gradient_sec", "restrict_sec", "rank_sec")]
-    assert min(stages) >= 0 and sum(stages) <= rep["elapsed_sec"]
+    stages = [rep[k] for k in ("restrict_sec", "rank_sec")]
+    assert min(stages) > 0 and sum(stages) <= rep["elapsed_sec"]
     assert rep["aut_dim_bound"] == 29
-    assert rep["sodm_degree"] == 6
     assert "162 - 29 = 133" in rep["consistency"]
+    # nothing is expanded, so no expansion size, degree or stage time
+    assert set(rep) == {"prime", "seed", "retries", "invariant", "ranks", "elapsed_sec",
+                        "restrict_sec", "rank_sec", "max_rank", "aut_dim_bound",
+                        "consistency"}
     empty = aut_dimension_bound(313, seed=1, retries=0)
     assert "max_rank" not in empty and "note" in empty
     assert empty["restrict_sec"] == empty["rank_sec"] == 0
@@ -333,7 +360,6 @@ def test_aut_dimension_bound_reports():
 def test_twisted_sextic_variant_reports_without_target():
     rep = aut_dimension_bound(313, seed=0, retries=1, invariant="twisted_sextic")
     assert rep["invariant"] == "twisted_sextic"
-    assert rep["sextic_degree"] == 6
     assert 0 < rep["max_rank"] <= CHART_ROWS
     assert rep["aut_dim_bound"] == CHART_ROWS - rep["max_rank"]
     assert "consistency" not in rep  # no published value to compare against
@@ -346,3 +372,93 @@ def test_symbolic_triple_layout():
     for i, q in enumerate(flat):
         assert q.coefficient(tuple(1 if j == i else 0 for j in range(27))) == 1
         assert len(q) == 1
+
+
+@pytest.mark.parametrize("prime", [313, P31])
+def test_closed_form_gradients_equal_the_expansion_partials(prime):
+    # the exact certificate: run on polynomial scalars, the closed forms
+    # are the partials of the expansion, term for term
+    t = symbolic_triple(PolyRing(prime, 27))
+    for expand, grad, _ in EXPANSIONS:
+        closed = grad(t)
+        assert len(closed) == 27
+        for i, part in enumerate(_partials(expand(prime), prime)):
+            assert closed[i].terms == part.terms, i
+
+
+def _largest_int64_lane_prime():
+    p = round((1 << 58) ** (1 / 3)) + 2        # just past the int64 lanes
+    while _lane_peak(p) >= 1 << 63 or not is_prime(p):
+        p -= 1
+    return p
+
+
+P_LANE = _largest_int64_lane_prime()
+
+
+@pytest.mark.parametrize("prime, dtype", [(313, np.int64), (P_LANE, np.int64),
+                                          (P31, object)])
+def test_closed_form_gradients_on_lanes_satisfy_euler(prime, dtype):
+    # sum x_i dS/dx_i = 6 S at every lane, against the invariants on
+    # Python ints; lane 0 holds p - 1 everywhere, the largest products
+    field = PrimeField(prime)
+    rng = derive_rng(0, "lane-euler", prime)
+    x = np.array([[prime - 1] + [rng.randrange(prime) for _ in range(5)] for _ in range(27)],
+                 dtype=object)
+    lanes = field.array(x, peak=_lane_peak(prime))
+    assert lanes.dtype == dtype
+    for _, grad, invariant in EXPANSIONS:
+        values = np.stack(grad(unflatten(field, 3, list(lanes))))
+        assert values.shape == (27, 6) and values.dtype == dtype
+        for k in range(6):
+            point = [int(v) for v in x[:, k]]
+            t = unflatten(field, 3, point)
+            assert [int(v) for v in values[:, k]] == grad(t)
+            assert sum(a * int(g) for a, g in zip(point, values[:, k])) % prime \
+                == 6 * invariant(t) % prime
+
+
+def test_int64_lanes_stop_at_the_lane_peak():
+    above = P_LANE + 2
+    while not is_prime(above):
+        above += 2
+    assert PrimeField(P_LANE).array([1], peak=_lane_peak(P_LANE)).dtype == np.int64
+    assert PrimeField(above).array([1], peak=_lane_peak(above)).dtype == object
+    assert PrimeField(above).array([1]).dtype == np.int64
+
+
+@pytest.mark.parametrize("prime", [313, P31])
+def test_closed_forms_match_the_gather_form_reference(prime):
+    rng = derive_rng(0, "closed-vs-gather", prime)
+    x = np.array([[prime - 1] + [rng.randrange(prime) for _ in range(3)] for _ in range(27)])
+    field = PrimeField(prime)
+    t = unflatten(field, 3, list(field.array(x, peak=_lane_peak(prime))))
+    for expand, grad, _ in EXPANSIONS:
+        reference = gradient_at(gradient(expand(prime), prime), x, prime)
+        assert field.array(np.stack(grad(t))).tolist() == reference.tolist()
+
+
+def test_the_bound_runs_past_the_int64_safe_primes():
+    rep = aut_dimension_bound(2**61 - 1, 1, retries=1)
+    assert rep["ranks"] == [133] and rep["aut_dim_bound"] == 29
+
+
+# ranks of aut_dimension_bound(p, seed, retries=3), seeds 0-5, computed from
+# the expansion's gather-form gradient before the closed forms replaced it
+PINNED_RANKS = {
+    (3, "sodm"): [[126, 130, 132], [129, 123, 132], [132, 133, 131],
+                  [131, 126, 128], [131, 126, 131], [126, 127, 133]],
+    (3, "twisted_sextic"): [[104, 104, 103], [103, 104, 103], [101, 104, 103],
+                            [104, 103, 103], [104, 103, 104], [104, 104, 102]],
+    (29, "sodm"): [[133] * 3] * 6,
+    (29, "twisted_sextic"): [[104] * 3] * 6,
+    (313, "sodm"): [[133] * 3] * 6,
+    (313, "twisted_sextic"): [[104] * 3] * 6,
+}
+
+
+@pytest.mark.parametrize("prime, invariant", sorted(PINNED_RANKS))
+def test_bound_ranks_are_pinned(prime, invariant):
+    ranks = [aut_dimension_bound(prime, seed, retries=3, invariant=invariant)["ranks"]
+             for seed in range(6)]
+    assert ranks == PINNED_RANKS[prime, invariant]

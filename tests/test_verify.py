@@ -145,7 +145,7 @@ def test_c9_redraws_a_singular_congruence(monkeypatch):
         return sl3_act(*args)
 
     monkeypatch.setattr(symmetry, "sl3_act", counting)
-    verify._c9_sl3_and_ratios(PrimeField(29), derive_rng(0, "C9", 72))
+    verify._c9_sl3_and_invariance(PrimeField(29), derive_rng(0, "C9", 72))
     assert calls
 
 
