@@ -10,7 +10,7 @@ e_1 the unit; the quaternions sit at coords 1..4 and l = e_5.
 Scalars come from a ring object (see :mod:`octjordan.coeffs`); everything
 here works identically over a prime field, over complex floats, or over a
 polynomial ring, through one product path: sum with Python operators,
-reduce once.
+reduce once, in a straight-line kernel generated per level on first use.
 """
 
 from __future__ import annotations
@@ -94,6 +94,26 @@ def _product_terms(level: int) -> tuple:
     return tuple(tuple(terms) for terms in out)
 
 
+@lru_cache(maxsize=None)
+def _product_kernel(level: int, real: bool = False):
+    """Straight-line code for the product at a level, built on first use.
+
+    kernel(x, y, zero, reduce) unpacks the coordinate tuples into locals and
+    returns, per output coordinate k, reduce(zero + x_i*y_j - ...) over the
+    terms of _product_terms(level)[k] in their (i, j) order: the additions
+    a loop over the table would make, in its order, without the loop.  With
+    real, only coordinate 0 is formed and returned as a scalar."""
+    n = 1 << level
+    sums = ["reduce(zero" + "".join(f" {'+' if plus else '-'} x{i}*y{j}" for i, j, plus in terms)
+            + ")" for terms in _product_terms(level)[:1 if real else n]]
+    xs, ys = (", ".join(f"{v}{i}" for i in range(n)) + "," for v in "xy")
+    ret = sums[0] if real else "(" + ", ".join(sums) + ",)"
+    source = f"def kernel(x, y, zero, reduce):\n    {xs} = x\n    {ys} = y\n    return {ret}\n"
+    namespace = {}
+    exec(source, namespace)
+    return namespace["kernel"]
+
+
 def left_table_symbolic(level: int = 3) -> list[list[int]]:
     """Left multiplication table with entries as signed variable indices.
 
@@ -150,27 +170,21 @@ class AlgebraElement:
     def __mul__(self, other):
         """The algebra product, via the structure-constant table.
 
-        Each output coordinate is accumulated with Python operators over
-        its terms x_i y_j, in the table's (i, j) order, and reduced once
-        by ring.reduce.  Over F_p the sum is an exact Python int, so the
-        coordinates must be Python ints (numpy int64 would overflow); over C,
-        and on lane-stacked complex128 scalars, the terms are added one at a
-        time in that order, so the result is bit-identical to a loop that
-        adds each term to the running sum.  Over autdim.PolyRing the scalars
-        are sparse polynomials whose operators leave the coefficients
-        unreduced.
+        Each output coordinate is ring.zero plus or minus its terms x_i y_j,
+        added with Python operators in the table's (i, j) order and reduced
+        once by ring.reduce, in the straight-line kernel generated for the
+        level (_product_kernel).  Over F_p the sum is an exact Python int,
+        so the coordinates must be Python ints (numpy int64 would overflow);
+        over C, and on lane-stacked complex128 scalars, the terms are added
+        one at a time in that order, so the result is bit-identical to a
+        loop that adds each term to the running sum.  Over autdim.PolyRing
+        the scalars are sparse polynomials whose operators leave the
+        coefficients unreduced.  real_product forms coordinate 0 alone.
         """
         self._require_same(other)
         r = self.ring
-        reduce = r.reduce
-        x, y = self.coords, other.coords
-        out = []
-        for terms in _product_terms(self.level):
-            acc = r.zero
-            for i, j, plus in terms:
-                acc = acc + x[i] * y[j] if plus else acc - x[i] * y[j]
-            out.append(reduce(acc))
-        return AlgebraElement(r, self.level, tuple(out))
+        return AlgebraElement(r, self.level, _product_kernel(self.level)(
+            self.coords, other.coords, r.zero, r.reduce))
 
     def scale(self, s):
         r = self.ring
@@ -219,6 +233,14 @@ def random_element(ring, level: int, rng: random.Random) -> AlgebraElement:
                           tuple(ring.random(rng) for _ in range(1 << level)))
 
 
+def real_product(x: AlgebraElement, y: AlgebraElement):
+    """Re(xy) without the other coordinates: the coordinate-0 sum of the
+    product kernel, so it equals (x * y).real_part() bit for bit."""
+    x._require_same(y)
+    r = x.ring
+    return _product_kernel(x.level, True)(x.coords, y.coords, r.zero, r.reduce)
+
+
 def bilinear(x: AlgebraElement, y: AlgebraElement):
     """The symmetric form polarizing norm_sq: B(x, y) = sum_i x_i y_i.
 
@@ -258,7 +280,7 @@ def phi(c: AlgebraElement, b: AlgebraElement, a: AlgebraElement):
     bb = b.conjugate()
     comm = c * bb - bb * c
     half = r.inv(r.from_int(2))
-    return r.reduce(half * (comm * a).real_part())
+    return r.reduce(half * real_product(comm, a))
 
 
 def gram_im(c: AlgebraElement, b: AlgebraElement, a: AlgebraElement):

@@ -212,7 +212,7 @@ def _cmd_reduce(args) -> int:
         if exc.step == "final state":
             raise UsageError(f"tolerance not reached: {exc.detail}")
         raise UsageError(f"reduction failed at step '{exc.step}' on an input that "
-                         f"passed the det_cartan test: {exc.detail}")
+                         f"passed the det_cartan(conj t) test: {exc.detail}")
     transcript = word.to_json_dict()
     if args.transcript is not None:
         emit_report(transcript, args.transcript)

@@ -13,7 +13,11 @@ degree-6 invariants (Cartan determinant, comatrix, the octonionic
 degeneracy sextic, the twisted cubic and twisted sextic), closed-form
 gradients of the two sextics, and the two 24x24 block matrices whose
 determinants those invariants govern: det(M) = sextic^4 and
-det(N) = cubic^4 * twisted_sextic^2.
+det(N) = cubic^4 * twisted_sextic^2.  A real part Re(xy) is always
+cayley.real_product(x, y), the coordinate-0 sum of the product, so the
+invariants form only the full products they need (det_cartan 1,
+twisted_cubic 2, twisted_sextic 0, s_odm 7), bit-identical to the real
+parts of full products.
 
 Over C every scalar of a triple may also be a complex128 array of shape
 (S,), one lane per point (`stack_lanes`, `lane`).  The invariants then
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cayley
+from . import cayley, linalg
 from .cayley import AlgebraElement
 
 
@@ -104,11 +108,16 @@ def lane(t: HermitianTriple, i: int) -> HermitianTriple:
 
 def det_cartan(t: HermitianTriple):
     """l1 l2 l3 + 2 Re(c(ab)) - l2 |b|^2 - l1 |a|^2 - l3 |c|^2."""
+    return _det_cartan_and_re_cab(t)[0]
+
+
+def _det_cartan_and_re_cab(t: HermitianTriple) -> tuple:
+    """det_cartan and the Re(c(ab)) it is formed from, one product ab."""
     r = t.ring
     l1, l2, l3 = t.lambdas
-    re_cab = (t.c * (t.a * t.b)).real_part()
+    re_cab = cayley.real_product(t.c, t.a * t.b)
     return r.reduce(l1 * l2 * l3 + (re_cab + re_cab) - l2 * t.b.norm_sq()
-                    - l1 * t.a.norm_sq() - l3 * t.c.norm_sq())
+                    - l1 * t.a.norm_sq() - l3 * t.c.norm_sq()), re_cab
 
 
 def com(t: HermitianTriple) -> HermitianTriple:
@@ -142,9 +151,8 @@ def twisted_cubic(t: HermitianTriple):
     if t.level != 3:
         raise ValueError("twisted invariants defined at level 3")
     r = t.ring
-    d = det_cartan(t)
-    re_cab = (t.c * (t.a * t.b)).real_part()
-    re_cba = (t.c.conjugate() * (t.b * t.a)).real_part()
+    d, re_cab = _det_cartan_and_re_cab(t)
+    re_cba = cayley.real_product(t.c.conjugate(), t.b * t.a)
     return r.reduce(d - (re_cab + re_cab) + (re_cba + re_cba))
 
 
@@ -157,7 +165,7 @@ def twisted_sextic(t: HermitianTriple):
     na, nb, nc = t.a.norm_sq(), t.b.norm_sq(), t.c.norm_sq()
     env = r.reduce(l1 * na + l2 * nb + l3 * nc - l1 * l2 * l3)
     re_c = t.c.real_part()
-    re_ab = (t.a * t.b).real_part()
+    re_ab = cayley.real_product(t.a, t.b)
     four = r.from_int(4)
     tail = nb * na * (re_c * re_c) + nc * (re_ab * re_ab) - na * nb * nc
     return r.reduce(env * env - four * (env * (re_c * re_ab)) + four * tail)
@@ -259,6 +267,8 @@ def build_N(t: HermitianTriple) -> np.ndarray:
 
 
 def _assemble(t: HermitianTriple, cblock: np.ndarray) -> np.ndarray:
+    # the diagonal blocks are l * idn, so their off-diagonal zeros carry the
+    # signs of l * 0
     r = t.ring
     la = cayley.left_mult_matrix(t.a)
     lb = cayley.left_mult_matrix(t.b)
@@ -266,7 +276,7 @@ def _assemble(t: HermitianTriple, cblock: np.ndarray) -> np.ndarray:
     # lane-stacked scalars of shape (S,) give (S, n, n) blocks throughout
     l1, l2, l3 = (np.asarray(l)[..., None, None] * idn for l in t.lambdas)
     tr = lambda x: np.swapaxes(x, -1, -2)
-    out = np.block([
+    out = linalg.block([
         [l1, cblock, tr(lb)],
         [tr(cblock), l2, la],
         [lb, tr(la), l3],

@@ -45,6 +45,19 @@ def eye(ring, n: int) -> np.ndarray:
     return ring.array(np.eye(n, dtype=np.int64))
 
 
+def block(rows) -> np.ndarray:
+    """np.block for a square grid of n x n blocks stacked alike on any
+    leading axes: each block is written by slice into one np.empty array of
+    np.block's dtype, with no intermediate concatenations."""
+    n = rows[0][0].shape[-1]
+    out = np.empty(rows[0][0].shape[:-2] + (len(rows) * n,) * 2,
+                   dtype=np.result_type(*(b for row in rows for b in row)))
+    for i, row in enumerate(rows):
+        for j, b in enumerate(row):
+            out[..., i * n:(i + 1) * n, j * n:(j + 1) * n] = b
+    return out
+
+
 def matmul(ring, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product with np.matmul semantics (stacks broadcast): exact residues
     over F_p, the plain product over the complex field.

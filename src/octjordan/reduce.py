@@ -20,15 +20,17 @@ in round 1 and the Schur complement lambda3 - alpha^2 / lambda2 of round 1
 in round 2.  Round 3 stops after its solve: the state is complex symmetric,
 and one congruence carries it to the identity.
 
-Genericity is tested once, at the input: an input whose det_cartan, after
-scaling the input to unit norm, is at most GENERIC_TOL aborts at step
-'input'.  The congruences keep det_cartan, but the twisted Spin7 moves keep
-twisted_cubic instead, so an input that passes can still meet a singular
-state later.  The remaining guards are the pivots lambda2, relative to the
-norm of the state, and the Gauss-Newton stagnation; each commutes, like the
-action, with scaling the input by any nonzero complex number, and a failure
-names its step.  The emitted word is self-certifying: its residual is that
-of the replayed word, which must be within the requested tolerance.
+Genericity is tested once, at the input, with the cubic the moves keep:
+det_cartan(conj t), det_cartan with a, b and c conjugated.  The twisted
+Spin7 moves leave it invariant and the congruences, of determinant 1,
+leave it unchanged too (det_cartan itself is not invariant under the Spin7
+moves).  An input whose det_cartan(conj t), after scaling the input to
+unit norm, is at most GENERIC_TOL aborts at step 'input'.  The remaining
+guards are the pivots lambda2, relative to the norm of the state, and the
+Gauss-Newton stagnation; each commutes, like the action, with scaling the
+input by any nonzero complex number, and a failure names its step.  The
+emitted word is self-certifying: its residual is that of the replayed word,
+which must be within the requested tolerance.
 """
 
 from __future__ import annotations
@@ -372,9 +374,12 @@ def reduce_to_identity(t: HermitianTriple, tol: float = 1e-6,
     if distance_to_identity(t) <= tol:
         word.residual = distance_to_identity(t)
         return word
-    # det_cartan of the input over its norm: scale-free, with no cube to
-    # overflow or underflow
-    _guard("input", "det_cartan", det_cartan(t.scale(1 / scale0) if scale0 else t), 1.0)
+    # det_cartan(conj t), the cubic the moves keep, of the input over its
+    # norm: scale-free, with no cube to overflow or underflow
+    u = t.scale(1 / scale0) if scale0 else t
+    _guard("input", "det_cartan(conj t)",
+           det_cartan(HermitianTriple(_RING, 3, u.lambdas, u.a.conjugate(), u.b.conjugate(),
+                                      u.c.conjugate())), 1.0)
 
     if not _is_offdiag_zero(state, GENERIC_TOL * max(scale0, 1e-300)):
         state = _offdiagonal_pipeline(state, word, rng)

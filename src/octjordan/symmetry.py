@@ -297,7 +297,14 @@ def spin7_word(ring, t) -> TrialityTriple:
     # t^2 is reduced before it meets A2^2 / 2, so int64 products stay below (p - 1)^2
     t2 = ring.reduce(eye + ring.reduce(t * a2) + ring.reduce(ring.reduce(t * t) * h))
     factors = np.stack([ring.reduce(eye + t * a1), t2], axis=1)
-    return TrialityTriple(ring, *functools.reduce(functools.partial(linalg.matmul, ring), factors))
+    # the ordered product as a balanced tree: each level multiplies adjacent
+    # factors pairwise in one stacked matmul, which over F_p is exact, so the
+    # grouping does not change the product
+    while len(factors) > 1:
+        odd = len(factors) % 2
+        pairs = linalg.matmul(ring, factors[:len(factors) - odd:2], factors[1::2])
+        factors = np.concatenate([pairs, factors[-1:]]) if odd else pairs
+    return TrialityTriple(ring, *factors[0])
 
 
 def random_spin7(ring, rng: random.Random) -> TrialityTriple:

@@ -104,7 +104,7 @@ def _c1_composition(ring, rng):
         _fail("right alternativity fails", (x.coords, y.coords))
     if ((u * x) * (y * u)).coords != (u * ((x * y) * u)).coords:
         _fail("Moufang identity fails", (u.coords, x.coords, y.coords))
-    if ((x * y) * u).real_part() != (x * (y * u)).real_part():
+    if cayley.real_product(x * y, u) != cayley.real_product(x, y * u):
         _fail("trace associativity fails", (x.coords, y.coords, u.coords))
 
 
@@ -255,7 +255,7 @@ def multiplicity_defect(a: AlgebraElement, b: AlgebraElement, c: AlgebraElement)
     rc = cayley.right_mult_matrix(c)
     prod = linalg.matmul(ring, linalg.matmul(ring, la, lb), rc)
     op = prod + prod.T
-    shift = (c.conjugate() * (b * a)).real_part()
+    shift = cayley.real_product(c.conjugate(), b * a)
     op = ring.reduce(op - (shift + shift) * np.eye(8, dtype=np.int64))
     return linalg.rank(ring, op)
 
@@ -290,16 +290,16 @@ def _schur_factor_trial(ring, rng, twisted: bool):
     bmat = (linalg.matmul(ring, linalg.matmul(ring, la, lb), cb)
             - na * nc * inv_l2 % p * idn) % p
     z = np.zeros((8, 8), dtype=idn.dtype)
-    r1 = np.block([[ring.inv(nc) * cb % p, z, z],
-                   [z, idn, z],
-                   [z, z, ring.inv(na) * la.T % p]]) % p
-    r2 = np.block([[idn, nc * inv_l2 % p * idn % p, z],
-                   [z, idn, z],
-                   [ring.inv(delta) * bmat % p, na * inv_l2 % p * idn % p, idn]]) % p
+    r1 = linalg.block([[ring.inv(nc) * cb % p, z, z],
+                       [z, idn, z],
+                       [z, z, ring.inv(na) * la.T % p]]) % p
+    r2 = linalg.block([[idn, nc * inv_l2 % p * idn % p, z],
+                       [z, idn, z],
+                       [ring.inv(delta) * bmat % p, na * inv_l2 % p * idn % p, idn]]) % p
     w = (nu * idn - ring.inv(delta) * linalg.matmul(ring, bmat, bmat.T)) % p
-    dmid = np.block([[delta * idn % p, z, z],
-                     [z, l2 * idn, z],
-                     [z, z, w]]) % p
+    dmid = linalg.block([[delta * idn % p, z, z],
+                         [z, l2 * idn, z],
+                         [z, z, w]]) % p
     prod = linalg.matmul(ring, r1, r2)
     prod = linalg.matmul(ring, prod, dmid)
     prod = linalg.matmul(ring, prod, r2.T)
@@ -330,8 +330,8 @@ def charpoly_factor_check(a: AlgebraElement, b: AlgebraElement, c: AlgebraElemen
     op = (prod + prod.T) % p
     mat = (kappa_val * np.eye(8, dtype=np.int64) - op) % p
     lhs = linalg.det(ring, mat)
-    re_cab = (c * (a * b)).real_part()
-    re_cba = (c * (b * a)).real_part()
+    re_cab = cayley.real_product(c, a * b)
+    re_cba = cayley.real_product(c, b * a)
     asq = cayley.associator(c, b, a).norm_sq()
     quad = ring.reduce((kappa_val - (re_cab + re_cab)) * (kappa_val - (re_cba + re_cba)) - asq)
     if lhs == pow(quad, 4, p):

@@ -31,10 +31,11 @@ def test_setup_probe_and_tracer_bind_existing_names():
 
 def test_traced_identity_rounds_repeat_their_counts_on_a_cold_word_cache():
     # the benchmark traces its first round twice in a fresh process and
-    # requires equal counts, so building the F_p Spin7 word on first use
-    # must call nothing the tracer wraps or counts
+    # requires equal counts, so building the F_p Spin7 word or a product
+    # kernel on first use must call nothing the tracer wraps or counts
     spans = _script("spans")
     symmetry._nilpotent_word.cache_clear()
+    cayley._product_kernel.cache_clear()
     signatures = []
     for _ in range(2):
         rt = spans["RoundTrace"]()

@@ -296,3 +296,92 @@ def test_bilinear_over_polynomial_scalars_keeps_ring_calls():
     want = {tuple(int(k in (i, 8 + i)) for k in range(16)): 1 for i in range(8)}
     assert bilinear(x, y).terms == want
     assert x.norm_sq().terms == {tuple(2 * int(k == i) for k in range(16)): 1 for i in range(8)}
+
+
+def _loop_product(x, y):
+    # the product as a loop over the table's terms: each coordinate summed
+    # from ring.zero in (i, j) order and reduced once, the reference the
+    # generated kernel must equal bit for bit
+    r = x.ring
+    out = []
+    for terms in cayley._product_terms(x.level):
+        acc = r.zero
+        for i, j, plus in terms:
+            acc = acc + x.coords[i] * y.coords[j] if plus else acc - x.coords[i] * y.coords[j]
+        out.append(r.reduce(acc))
+    return tuple(out)
+
+
+def _bits(v):
+    # the exact bytes of a scalar or a lane, with its type: Python ints as
+    # int64 (every residue here is below 2^61), object lanes by their ints
+    if isinstance(v, np.ndarray) and v.dtype == object:
+        assert all(type(u) is int for u in v.tolist())
+        return ("object", np.array(v.tolist(), dtype=np.int64).tobytes())
+    if isinstance(v, np.ndarray):
+        return (v.dtype.str, v.shape, v.tobytes())
+    if isinstance(v, int):
+        return ("int", np.int64(v).tobytes())
+    return (type(v).__name__, np.complex128(v).tobytes())
+
+
+def _kernel_cases():
+    # (ring, x, y) at every level: prime fields from 29 to 2^61-1 with the
+    # top residue and zero in play, C with signed zeros, and lane stacks of
+    # complex128, int64 and object scalars
+    rng = random.Random(21)
+    cases = []
+    for level in range(4):
+        n = 1 << level
+        for p in (29, 313, P31, 2**61 - 1):
+            ring = PrimeField(p)
+            for _ in range(3):
+                x, y = random_element(ring, level, rng), random_element(ring, level, rng)
+                cases.append((ring, x, y))
+            top = AlgebraElement(ring, level, (p - 1,) * n)
+            cases.append((ring, top, top))
+            cases.append((ring, zero(ring, level), top))
+        C = ComplexField()
+        zeros = (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0))
+        signed = AlgebraElement(C, level, tuple(zeros[i % 4] for i in range(n)))
+        for _ in range(3):
+            x, y = random_element(C, level, rng), random_element(C, level, rng)
+            cases += [(C, x, y), (C, signed, y), (C, x, signed), (C, signed, signed)]
+        lanes = lambda ring, dtype, draw: AlgebraElement(ring, level, tuple(
+            np.array([draw() for _ in range(5)], dtype=dtype) for _ in range(n)))
+        cplx = lambda: complex(rng.uniform(-1, 1), rng.choice((0.0, -0.0, rng.uniform(-1, 1))))
+        cases.append((C, lanes(C, np.complex128, cplx), lanes(C, np.complex128, cplx)))
+        f313, f61 = PrimeField(313), PrimeField(2**61 - 1)
+        cases.append((f313, lanes(f313, np.int64, lambda: rng.randrange(313)),
+                      lanes(f313, np.int64, lambda: rng.randrange(313))))
+        cases.append((f61, lanes(f61, object, lambda: rng.randrange(2**61 - 1)),
+                      lanes(f61, object, lambda: rng.randrange(2**61 - 1))))
+    return cases
+
+
+def test_product_kernel_equals_the_loop_bit_for_bit():
+    for ring, x, y in _kernel_cases():
+        want = _loop_product(x, y)
+        got = (x * y).coords
+        assert [_bits(v) for v in got] == [_bits(v) for v in want], (ring, x.level)
+        assert _bits(cayley.real_product(x, y)) == _bits(got[0])
+
+
+def test_product_kernel_over_polynomial_scalars_equals_the_loop():
+    ring = PolyRing(313, 16)
+    v = ring.variable
+    for level in range(4):
+        n = 1 << level
+        # shifted variables, so that terms cancel and coefficients wrap mod p
+        x = AlgebraElement(ring, level, tuple(v(i) + ring.from_int(312) for i in range(n)))
+        y = AlgebraElement(ring, level, tuple(v(8 + i) * v(i) + ring.one for i in range(n)))
+        want = [c.terms for c in _loop_product(x, y)]
+        assert [c.terms for c in (x * y).coords] == want
+        assert cayley.real_product(x, y).terms == want[0]
+
+
+def test_real_product_checks_its_operands():
+    with pytest.raises(ValueError):
+        cayley.real_product(unit(F, 3), unit(F, 2))
+    with pytest.raises(ValueError):
+        cayley.real_product(unit(F, 3), unit(PrimeField(313), 3))

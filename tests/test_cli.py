@@ -291,11 +291,12 @@ def test_reduce_messages_name_the_failed_step(capsys, tmp_path):
     degenerate = {**ident, "lambda": [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]]}
     generic = triple_to_json(random_generic_triple(random.Random(1)))
     cases = [
-        (degenerate, "1e-6", "non-generic input: det_cartan below the genericity threshold"),
+        (degenerate, "1e-6",
+         "non-generic input: det_cartan(conj t) below the genericity threshold"),
         (generic, "1e-17", "tolerance not reached: replay residual"),
         (_dressed_pivot_zero(random.Random(12)), "1e-6",
          "reduction failed at step 'round 1: kill a' on an input that passed the "
-         "det_cartan test: lambda2 below"),
+         "det_cartan(conj t) test: lambda2 below"),
     ]
     for point, tol, message in cases:
         path = tmp_path / "point.json"

@@ -276,3 +276,60 @@ def test_complex_invariants_digest_is_pinned():
         h.update(build_M(t).tobytes())
         h.update(build_N(t).tobytes())
     assert h.hexdigest() == COMPLEX_DIGEST
+
+
+def _np_block_assemble(t, cblock):
+    # the nine blocks of build_M / build_N joined by np.block: the reference
+    # for jordan._assemble, which writes the same blocks by slice
+    la, lb = cayley.left_mult_matrix(t.a), cayley.left_mult_matrix(t.b)
+    idn = np.eye(1 << t.level, dtype=la.dtype)
+    l1, l2, l3 = (np.asarray(l)[..., None, None] * idn for l in t.lambdas)
+    tr = lambda x: np.swapaxes(x, -1, -2)
+    return t.ring.reduce(np.block([[l1, cblock, tr(lb)], [tr(cblock), l2, la],
+                                   [lb, tr(la), l3]]))
+
+
+def _same_array(x, y):
+    if x.dtype == object or y.dtype == object:
+        return (x.dtype == y.dtype and x.shape == y.shape and x.tolist() == y.tolist()
+                and [type(v) for v in x.ravel()] == [type(v) for v in y.ravel()])
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def test_assembly_by_slice_equals_np_block():
+    C = ComplexField()
+    points = _complex_points("assemble", 5)
+    cases = [identity_triple(C, 3), diagonal_triple(C, 3, -1.5 + 0j, complex(-0.0, 0.0), 2j),
+             stack_lanes(C, points)] + points
+    for p in (29, 313, P31, 2**61 - 1):
+        ring = PrimeField(p)
+        rng = derive_rng(0, "assemble", p)
+        cases += [identity_triple(ring, 3), diagonal_triple(ring, 3, 0, 1, p - 1)]
+        cases += [random_triple(ring, level, rng) for level in range(4)]
+    f313 = PrimeField(313)
+    lanes = np.array([random_triple(f313, 3, derive_rng(0, "assemble-lanes", i)).flatten()
+                      for i in range(4)], dtype=np.int64)
+    cases.append(unflatten(f313, 3, list(lanes.T)))
+    for t in cases:
+        assert _same_array(build_M(t), _np_block_assemble(t, cayley.left_mult_matrix(t.c)))
+        if t.level == 3:
+            assert _same_array(build_N(t), _np_block_assemble(t, cayley.right_mult_matrix(t.c)))
+
+
+def test_invariants_make_their_pinned_number_of_products(monkeypatch):
+    # real parts come from cayley.real_product, and twisted_cubic reuses the
+    # ab and Re(c(ab)) of det_cartan: full products per call are pinned
+    calls = []
+    product = AlgebraElement.__mul__
+
+    def counted(x, y):
+        calls.append(1)
+        return product(x, y)
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", counted)
+    t = random_triple(F, 3, derive_rng(0, "product-counts"))
+    for invariant, count in ((det_cartan, 1), (twisted_cubic, 2), (twisted_sextic, 0),
+                             (s_odm, 7)):
+        calls.clear()
+        invariant(t)
+        assert len(calls) == count, invariant.__name__

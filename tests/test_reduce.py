@@ -196,9 +196,11 @@ def _dressed_pivot_zero(t: HermitianTriple) -> HermitianTriple:
 
 
 def test_non_generic_inputs_raise_with_step():
-    # det_cartan != 0, but the dressing leaves the first pivot at zero
+    # det_cartan(conj t) != 0, but the dressing leaves the first pivot at zero
     bad = _dressed_pivot_zero(random_generic_triple(random.Random(12)))
-    assert abs(det_cartan(bad)) > 1e-3
+    conj = HermitianTriple(C, 3, bad.lambdas, bad.a.conjugate(), bad.b.conjugate(),
+                           bad.c.conjugate())
+    assert abs(det_cartan(conj)) > 1e-3
     with pytest.raises(NonGenericInput) as info:
         reduce_to_identity(bad)
     assert info.value.step == "round 1: kill a"
@@ -512,15 +514,17 @@ def test_draws_refused_by_a_det_guard_on_the_grown_state_reduce(k):
 
 @pytest.mark.parametrize("s", [1e-6, 1.0, 1e6j])
 def test_zero_det_input_off_the_diagonal_aborts_at_the_input(s):
-    # det_cartan is linear in lambda3: choose lambda3 to make it vanish
+    # det_cartan(conj t), the cubic the moves keep, is linear in lambda3:
+    # choose lambda3 to make it vanish
     t = random_generic_triple(random.Random(19))
     l1, l2, _ = t.lambdas
-    rest = det_cartan(HermitianTriple(C, 3, (l1, l2, 0j), t.a, t.b, t.c))
-    l3 = -rest / (l1 * l2 - t.c.norm_sq())
+    a, b, c = t.a.conjugate(), t.b.conjugate(), t.c.conjugate()
+    rest = det_cartan(HermitianTriple(C, 3, (l1, l2, 0j), a, b, c))
+    l3 = -rest / (l1 * l2 - c.norm_sq())
     singular = HermitianTriple(C, 3, (l1, l2, l3), t.a, t.b, t.c).scale(s)
     with pytest.raises(NonGenericInput) as info:
         reduce_to_identity(singular)
-    assert info.value.step == "input" and "det_cartan" in info.value.detail
+    assert info.value.step == "input" and "det_cartan(conj t)" in info.value.detail
 
 
 @pytest.mark.parametrize("s", [1e-110, 1e110j])

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -498,3 +500,22 @@ def test_word_redraws_pairs_that_do_not_span_so7(monkeypatch):
     monkeypatch.setattr(symmetry, "_nilpotent_word", lambda q: redrawn)
     assert random_spin7(PrimeField(p), derive_rng(0, "redrawn")).defect() == 0
 
+
+
+@pytest.mark.parametrize("p", [29, 313, P31, 2**61 - 1])
+def test_word_tree_product_equals_the_left_fold(p):
+    # spin7_word multiplies its 21 factor pairs as a balanced tree; over F_p
+    # the product is exact, so it equals the left fold f_0 f_1 ... f_20
+    ring = PrimeField(p)
+    a1, a2, h = symmetry._nilpotent_word(p)
+    rng = derive_rng(0, "word-tree", p)
+    for _ in range(3):
+        t = [ring.random(rng) for _ in range(WORD_LENGTH)]
+        tt = ring.array(t)[:, None, None]
+        eye = linalg.eye(ring, 8)
+        t2 = ring.reduce(eye + ring.reduce(tt * a2) + ring.reduce(ring.reduce(tt * tt) * h))
+        factors = np.stack([ring.reduce(eye + tt * a1), t2], axis=1)
+        want = functools.reduce(functools.partial(linalg.matmul, ring), factors)
+        word = spin7_word(ring, t)
+        for got, ref in zip((word.t1, word.t2), want):
+            assert got.dtype == ref.dtype and got.tolist() == ref.tolist()
