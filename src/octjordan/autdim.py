@@ -212,8 +212,8 @@ class SparsePoly:
 
 class PolyRing:
     """Ring-contract adapter so the algebra code runs on SparsePoly scalars:
-    zero, one, from_int, reduce, is_zero and inv (of constants).  The
-    arithmetic is SparsePoly's operators, reduced once by reduce."""
+    zero, one, from_int, reduce and inv (of constants).  The arithmetic is
+    SparsePoly's operators, reduced once by reduce."""
 
     def __init__(self, p: int, n: int):
         if PrimeField(p).dtype is not np.int64:
@@ -231,9 +231,6 @@ class PolyRing:
 
     def reduce(self, a):
         return a.mod(self.p)
-
-    def is_zero(self, a) -> bool:
-        return a.is_zero()
 
     def inv(self, a):
         # only constants are invertible here (used for the 1/2 in phi)

@@ -11,6 +11,8 @@ Scalars come from a ring object (see :mod:`octjordan.coeffs`); everything
 here works identically over a prime field, over complex floats, or over a
 polynomial ring, through one product path: sum with Python operators,
 reduce once, in a straight-line kernel generated per level on first use.
+The multiplication matrices L_x and R_x are one contraction of the
+coordinates with a basis stack, for one element and for S lanes alike.
 """
 
 from __future__ import annotations
@@ -130,7 +132,7 @@ def right_table_symbolic(level: int = 3) -> list[list[int]]:
 
 def _symbolic(stack: np.ndarray) -> list[list[int]]:
     # exactly one basis matrix is nonzero at each entry
-    return np.tensordot(np.arange(1, len(stack) + 1), stack, axes=(0, 0)).tolist()
+    return _mult_matrix(np.arange(1, len(stack) + 1), stack).tolist()
 
 
 @dataclass(frozen=True)
@@ -255,18 +257,27 @@ def bilinear(x: AlgebraElement, y: AlgebraElement):
 
 def left_mult_matrix(x: AlgebraElement) -> np.ndarray:
     """Matrix L_x with L_x coords(y) = coords(x y)."""
-    return _mult_matrix(x, right=False)
+    r = x.ring
+    return r.reduce(_mult_matrix(r.array(x.coords), left_basis_matrices(x.level)))
 
 
 def right_mult_matrix(x: AlgebraElement) -> np.ndarray:
     """Matrix R_x with R_x coords(y) = coords(y x)."""
-    return _mult_matrix(x, right=True)
-
-
-def _mult_matrix(x: AlgebraElement, right: bool) -> np.ndarray:
     r = x.ring
-    stack = right_basis_matrices(x.level) if right else left_basis_matrices(x.level)
-    return r.reduce(np.tensordot(r.array(x.coords), stack, axes=(0, 0)))
+    return r.reduce(_mult_matrix(r.array(x.coords), right_basis_matrices(x.level)))
+
+
+def _mult_matrix(coords: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """sum_i coords[i] stack[i] for a coordinate-first array of shape (n,) or
+    (n, S): one matmul against the (n, n, n) basis stack as an (n, n^2)
+    matrix, reshaped to (n, n) or (S, n, n).  The S lanes are lane-stacked
+    scalars, or the columns of an (n, S) matrix m passed as
+    AlgebraElement(ring, level, tuple(m)).  Each entry of the stack is +-1
+    in exactly one basis matrix, so every sum has one nonzero term: int64
+    sums cannot overflow and complex ones are exact."""
+    n = len(stack)
+    out = coords.T @ stack.reshape(n, n * n)
+    return out.reshape(out.shape[:-1] + (n, n))
 
 
 def associator(c: AlgebraElement, b: AlgebraElement, a: AlgebraElement) -> AlgebraElement:

@@ -18,16 +18,15 @@ reduce once per formula or per coordinate.  Both fields provide:
   array(x), x as such an array, reduced mod p.  PrimeField.array(x, peak)
   picks int64 or object from the largest magnitude the caller's unreduced
   arithmetic on the entries reaches, for lane-stacked scalars;
-- is_zero(a): exact over F_p, |a| <= ComplexField.TOL over C;
 - encode(s) / decode(v), the JSON scalar: a decimal string from a decimal
   string or integer over F_p, [re, im] from two finite numbers over C.
   decode raises ValueError on bools, floats as residues and non-finite
   parts.
 
 autdim.PolyRing has zero, one, from_int, reduce (coefficients mod p, zeros
-dropped), inv (of constants) and is_zero on sparse polynomials, but no
-dtype, array or JSON form.  Its scalars' operators leave the coefficients
-unreduced, like Python ints over F_p.
+dropped) and inv (of constants) on sparse polynomials, but no dtype, array
+or JSON form.  Its scalars' operators leave the coefficients unreduced,
+like Python ints over F_p.
 """
 
 from __future__ import annotations
@@ -111,9 +110,6 @@ class PrimeField:
     def inv(self, a):
         return pow(a, -1, self.p)
 
-    def is_zero(self, a) -> bool:
-        return a % self.p == 0
-
     def array(self, x, peak: int | None = None) -> np.ndarray:
         """x as an array of residues, of dtype self.dtype.  Given peak, the
         largest magnitude that the caller's unreduced arithmetic on the
@@ -164,10 +160,9 @@ class PrimeField:
 
 
 class ComplexField:
-    """Double-precision complex scalars with a relative comparison tolerance."""
+    """Double-precision complex scalars."""
 
     dtype = np.complex128
-    TOL = 1e-9
     zero = 0j
     one = 1 + 0j
 
@@ -188,9 +183,6 @@ class ComplexField:
 
     def inv(self, a):
         return 1 / a
-
-    def is_zero(self, a) -> bool:
-        return abs(a) <= self.TOL
 
     def array(self, x) -> np.ndarray:
         return np.array(x, dtype=np.complex128)

@@ -296,7 +296,8 @@ def to_full_matrix(t: HermitianTriple) -> list:
 
 
 def full_matmul(x: list, y: list) -> list:
-    """Product of 3x3 matrices of algebra elements (order preserved)."""
+    """Product of 3x3 matrices of algebra elements (order preserved); only
+    the tests' reference, since verify reads products off the M blocks."""
     out = []
     for i in range(3):
         row = []

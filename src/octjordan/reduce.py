@@ -50,6 +50,7 @@ from .symmetry import TrialityTriple, sl3_act, spin7_act
 
 GENERIC_TOL = 1e-8      # relative threshold on the input det and every pivot
 GN_TOL = 1e-10
+CONGRUENCE_TOL = 1e-9   # relative symmetry and residual bound of the 3x3 congruence
 GN_MAX_ITERS = 50
 GN_RESTARTS = 20
 
@@ -291,15 +292,16 @@ def move_c_to_plane(t: HermitianTriple, rng: random.Random, step: str, target: i
     return stabilizer_solve(t, rng, step, "c", (0, target))
 
 
-def symmetric_congruence_to_identity(s: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def symmetric_congruence_to_identity(s: np.ndarray) -> np.ndarray:
     """H with H^T S H = I for nondegenerate complex symmetric 3x3 S.
 
     Successive completion of squares with pivot permutation; square roots
     on the principal branch.  A pivot that is exactly zero after the
-    off-diagonal patch, or a residual above tol, raises SingularMatrixError.
+    off-diagonal patch, or a residual above CONGRUENCE_TOL, raises
+    SingularMatrixError.
     """
     s = np.array(s, dtype=complex)
-    if s.shape != (3, 3) or np.max(np.abs(s - s.T)) > tol * max(1.0, np.max(np.abs(s))):
+    if s.shape != (3, 3) or np.max(np.abs(s - s.T)) > CONGRUENCE_TOL * max(1.0, np.max(np.abs(s))):
         raise ValueError("expected a symmetric 3x3 matrix")
     scale = max(float(np.max(np.abs(s))), 1e-300)
     h = np.eye(3, dtype=complex)
@@ -330,7 +332,7 @@ def symmetric_congruence_to_identity(s: np.ndarray, tol: float = 1e-9) -> np.nda
         h = h @ e
     root = np.diag([1 / cmath.sqrt(work[i, i]) for i in range(3)])
     h = h @ root
-    if not np.max(np.abs(h.T @ s @ h - np.eye(3))) <= tol * max(1.0, scale):  # NaN fails
+    if not np.abs(h.T @ s @ h - np.eye(3)).max() <= CONGRUENCE_TOL * max(1.0, scale):  # NaN fails
         raise linalg.SingularMatrixError("congruence residual too large")
     return h
 

@@ -52,15 +52,6 @@ _SIGN = np.array([[s for s, _ in row] for row in cayley.mult_table(3)])
 _INDEX = np.array([[k for _, k in row] for row in cayley.mult_table(3)])
 
 
-def _column_mult_stack(ring, m: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """Multiplication matrices by the columns of m: entry j is sum_i m[i, j] stack[i].
-
-    The stack is the +-1 basis stack, left unreduced: each sum has one
-    nonzero term, so the int64 sums cannot overflow and the complex ones
-    are exact."""
-    return ring.reduce(np.tensordot(m, stack, axes=(0, 0)))
-
-
 def _pair_defect(ring, a: np.ndarray, b: np.ndarray, c: np.ndarray):
     """Worst violation of A(e_i) B(e_j) = C(e_i e_j) over all 64 pairs.
 
@@ -69,7 +60,7 @@ def _pair_defect(ring, a: np.ndarray, b: np.ndarray, c: np.ndarray):
     """
     # entry [i, :, j] of both sides is a coordinate vector: L_{A(e_i)} B(e_j)
     # on the left, s C(e_k) with e_i e_j = s e_k on the right
-    lhs = linalg.matmul(ring, _column_mult_stack(ring, a, cayley.left_basis_matrices(3)), b)
+    lhs = linalg.matmul(ring, cayley.left_mult_matrix(AlgebraElement(ring, 3, tuple(a))), b)
     rhs = _SIGN[:, None, :] * c[:, _INDEX].transpose(1, 0, 2)
     if isinstance(ring, ComplexField):
         return float(np.max(np.abs(lhs - rhs)))
@@ -122,7 +113,7 @@ def _first_column_system(ring, t2: np.ndarray) -> np.ndarray:
     """The 512x8 linear system for the first column u = T1(e_1) of the
     companion T1 = L_u T2: [s R_{T2(e_k)} - R_{T2(e_j)} R_{T2(e_i)}] u = 0
     for every basis product e_i e_j = s e_k."""
-    byc = _column_mult_stack(ring, t2, cayley.right_basis_matrices(3))
+    byc = cayley.right_mult_matrix(AlgebraElement(ring, 3, tuple(t2)))
     # prods[i, j] = R_{T2(e_j)} R_{T2(e_i)}
     prods = linalg.matmul(ring, byc[None], byc[:, None])
     return ring.reduce((_SIGN[:, :, None, None] * byc[_INDEX] - prods).reshape(512, 8))

@@ -25,8 +25,7 @@ from . import cayley, linalg, symmetry
 from .cayley import AlgebraElement
 from .coeffs import PrimeField, derive_rng
 from .jordan import (HermitianTriple, build_M, build_N, com, det_cartan,
-                     diagonal_triple, full_matmul, random_triple, s_odm,
-                     to_full_matrix, twisted_cubic, twisted_sextic)
+                     random_triple, s_odm, twisted_cubic, twisted_sextic)
 
 
 @dataclass
@@ -131,14 +130,20 @@ def _c3_gram(ring, rng):
 
 
 def _check_com_factorization(ring, t: HermitianTriple):
-    d = det_cartan(t)
-    want = to_full_matrix(diagonal_triple(ring, t.level, d, d, d))
-    for prod in (full_matmul(to_full_matrix(com(t)), to_full_matrix(t)),
-                 full_matmul(to_full_matrix(t), to_full_matrix(com(t)))):
-        for i in range(3):
-            for j in range(3):
-                if prod[i][j].coords != want[i][j].coords:
-                    _fail(f"Com factorization fails in entry ({i},{j})", t.flatten())
+    """Com(A) A = A Com(A) = det(A) I on the M blocks.
+
+    Block (i, j) of build_M(Y) is L_{Y_ij}, and L_x e_1 = x, so column j*n
+    of build_M(Y) stacks the entries of column j of Y, and
+    build_M(X) build_M(Y)[:, ::n] stacks the columns of the product XY."""
+    n = 1 << t.level
+    want = ring.reduce(det_cartan(t) * linalg.eye(ring, 3 * n)[:, ::n])
+    m, mc = build_M(t), build_M(com(t))
+    for prod in (linalg.matmul(ring, mc, m[:, ::n]), linalg.matmul(ring, m, mc[:, ::n])):
+        # the (i, j) entries of the 3x3 product that differ, in row-major order
+        wrong = np.argwhere((prod != want).reshape(3, n, 3).any(axis=1))
+        if wrong.size:
+            i, j = wrong[0]
+            _fail(f"Com factorization fails in entry ({i},{j})", t.flatten())
 
 
 def _c4_com(ring, rng):
@@ -172,9 +177,8 @@ def _c7_det_n(ring, rng):
 
 def _conjugated(ring, m: np.ndarray, diag: tuple) -> np.ndarray:
     """D M D^T for the block diagonal D = diag(*diag) of three 8x8 blocks."""
-    blocks = np.zeros((24, 24), dtype=m.dtype)
-    for k, d in enumerate(diag):
-        blocks[8 * k:8 * k + 8, 8 * k:8 * k + 8] = d
+    z = np.zeros((8, 8), dtype=m.dtype)
+    blocks = linalg.block([[d if k == i else z for k in range(3)] for i, d in enumerate(diag)])
     return linalg.matmul(ring, linalg.matmul(ring, blocks, m), blocks.T)
 
 

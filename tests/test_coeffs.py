@@ -99,7 +99,7 @@ def test_complex_ring():
         assert abs(z.real) <= 1 and abs(z.imag) <= 1
     a, b, c = (r.random(rng) for _ in range(3))
     assert abs(r.reduce(r.reduce(a * b) * c) - r.reduce(a * r.reduce(b * c))) < 1e-12
-    assert r.is_zero(r.reduce(a * r.inv(a)) - r.one)
+    assert abs(r.reduce(a * r.inv(a)) - r.one) < 1e-12
     assert r.sqrt(-1) == 1j
     # determinism contract
     assert [ComplexField().random(derive_rng(5, i)) for i in range(4)] == \
@@ -109,8 +109,10 @@ def test_complex_ring():
 @pytest.mark.parametrize("ring", [PrimeField(313), PrimeField(P31), PrimeField(INT64_TOP),
                                   PrimeField(P61), ComplexField()], ids=repr)
 def test_ring_contract(ring):
-    # scalar arithmetic is Python operators plus reduce, with no second form
-    assert not any(hasattr(ring, name) for name in ("add", "sub", "mul", "neg", "div", "eq"))
+    # scalar arithmetic is Python operators plus reduce, with no second form,
+    # and no zero test: callers compare residues or magnitudes themselves
+    assert not any(hasattr(ring, name)
+                   for name in ("add", "sub", "mul", "neg", "div", "eq", "is_zero"))
     if isinstance(ring, PrimeField):
         p = ring.p
         a = ring.array([[-1, p, 2 * p + 3], [p - 1, 0, -p - 2]])
@@ -118,8 +120,6 @@ def test_ring_contract(ring):
         assert a.tolist() == [[p - 1, 0, 3], [p - 1, 0, p - 2]]
         # an entrywise product of residues reduces back to residues
         assert ring.reduce(a * a).tolist() == [[1, 0, 9], [1, 0, 4]]
-        # zero tests are exact
-        assert ring.is_zero(p) and ring.is_zero(-2 * p) and not ring.is_zero(1)
         for s in (0, 1, p - 1):
             assert ring.decode(ring.encode(s)) == s
         assert ring.encode(p - 1) == str(p - 1)
@@ -132,8 +132,6 @@ def test_ring_contract(ring):
         assert a.dtype == np.complex128
         assert a.tolist() == [[1, 2j], [0, 3]]
         assert ring.reduce(a) is a
-        # zero tests are absolute, at the field's tol
-        assert ring.is_zero(1e-10j) and not ring.is_zero(1e-6)
         for s in (0j, 1.5 - 2j, complex(-0.0, 0.0), complex(1e300, -1e-300)):
             back = ring.decode(ring.encode(s))
             assert back == s

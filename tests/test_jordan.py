@@ -76,6 +76,23 @@ def test_com_factorization_fails_generically_at_level3():
     assert any(lhs[i][j].coords != want[i][j].coords for i in range(3) for j in range(3))
 
 
+@pytest.mark.parametrize("p", [313, P31, 2**61 - 1])
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_m_block_columns_give_the_full_matrix_product(level, p):
+    # block (i, j) of build_M(Y) is L_{Y_ij} and L_x e_1 = x, so
+    # build_M(X) build_M(Y)[:, ::n] stacks the columns of XY; no step
+    # associates, so non-associative octonion triples qualify too
+    ring = PrimeField(p)
+    n = 1 << level
+    rng = derive_rng(0, "m-block-product", level, p)
+    for _ in range(4):
+        x, y = random_triple(ring, level, rng), random_triple(ring, level, rng)
+        got = linalg.matmul(ring, build_M(x), build_M(y)[:, ::n])
+        prod = full_matmul(to_full_matrix(x), to_full_matrix(y))
+        assert got.T.tolist() == [[v for i in range(3) for v in prod[i][j].coords]
+                                  for j in range(3)]
+
+
 def test_s_odm_special_values():
     t = diagonal_triple(F, 3, 2, 3, 5)
     assert s_odm(t) == 900
@@ -294,6 +311,39 @@ def _same_array(x, y):
         return (x.dtype == y.dtype and x.shape == y.shape and x.tolist() == y.tolist()
                 and [type(v) for v in x.ravel()] == [type(v) for v in y.ravel()])
     return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def tensordot_mult_matrix(ring, coords, stack):
+    """sum_i coords[i] stack[i] as np.tensordot forms it: the reference for
+    the reshape-matmul contraction of left_mult_matrix/right_mult_matrix."""
+    return ring.reduce(np.tensordot(ring.array(coords), stack, axes=(0, 0)))
+
+
+@pytest.mark.parametrize("ring", [PrimeField(29), PrimeField(313), PrimeField(P31),
+                                  PrimeField(2**61 - 1), ComplexField()], ids=repr)
+def test_mult_matrices_equal_the_tensordot_contraction(ring):
+    rng = derive_rng(0, "contraction", repr(ring))
+
+    def coords(count):
+        return ring.array([[ring.random(rng) for _ in range(count)] for _ in range(8)])
+
+    lanes = coords(60)
+    if isinstance(ring, ComplexField):
+        # signed zeros: the one nonzero term of each sum is -0.0 here
+        lanes[:, 0] = complex(-0.0, -0.0)
+        lanes[:, 1] = complex(0.0, -0.0)
+    single = cayley.random_element(ring, 3, rng)
+    cases = [single, AlgebraElement(ring, 3, tuple(lanes)),
+             AlgebraElement(ring, 3, tuple(coords(8)))]   # the columns of an 8x8 matrix
+    for x in cases:
+        for mult, stack in ((cayley.left_mult_matrix, cayley.left_basis_matrices(3)),
+                            (cayley.right_mult_matrix, cayley.right_basis_matrices(3))):
+            assert _same_array(mult(x), tensordot_mult_matrix(ring, x.coords, stack))
+    # lane j of the stacked form is the matrix of lane j alone
+    stacked = cayley.left_mult_matrix(cases[1])
+    for j in (0, 1, 59):
+        one = AlgebraElement(ring, 3, tuple(lanes[:, j].tolist()))
+        assert _same_array(stacked[j], cayley.left_mult_matrix(one))
 
 
 def test_assembly_by_slice_equals_np_block():

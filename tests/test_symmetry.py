@@ -379,7 +379,7 @@ def test_first_column_system_matches_the_block_loop(p):
     rng = derive_rng(0, "first-column", p)
     arbitrary = ring.array([[ring.random(rng) for _ in range(8)]
                                           for _ in range(8)])
-    for m in (so7_element(ring, rng), arbitrary):
+    for m in (random_spin7(ring, rng).t2, so7_element(ring, rng), arbitrary):
         assert np.array_equal(symmetry._first_column_system(ring, m),
                               reference_first_column_system(ring, m, "right"))
 

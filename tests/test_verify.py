@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from octjordan import cayley, jordan, symmetry, verify
@@ -69,6 +71,45 @@ def test_flipped_phi_sign_fails_c6_at_trial_one(monkeypatch):
     assert not rep.all_passed
     assert "trial 0" in rep.results[0].detail
     monkeypatch.setattr(verify, "s_odm", true_sodm)
+
+
+def _first_wrong_entry(ring, x, y, d):
+    """Row-major first (i, j) at which XY differs from d I, by full_matmul."""
+    prod = jordan.full_matmul(jordan.to_full_matrix(x), jordan.to_full_matrix(y))
+    want = jordan.to_full_matrix(jordan.diagonal_triple(ring, x.level, d, d, d))
+    return next(((i, j) for i in range(3) for j in range(3)
+                 if prod[i][j].coords != want[i][j].coords), None)
+
+
+def test_c4_fails_on_a_generic_octonion_triple():
+    # both Com(A) A and A Com(A) differ from det(A) I off associative data,
+    # and the failure names the first wrong entry of Com(A) A
+    t = jordan.random_triple(F, 3, derive_rng(0, "c4-generic"))
+    d, cm = jordan.det_cartan(t), jordan.com(t)
+    entry = _first_wrong_entry(F, cm, t, d)
+    assert entry is not None and _first_wrong_entry(F, t, cm, d) is not None
+    with pytest.raises(verify.CheckFailure, match=r"entry \(%d,%d\)" % entry):
+        verify._check_com_factorization(F, t)
+
+
+@pytest.mark.parametrize("slot", ["a", "b", "c"])
+def test_c4_fails_on_a_perturbed_comatrix(monkeypatch, slot):
+    t = jordan.random_triple(F, 2, derive_rng(0, "c4-perturbed", slot))
+    verify._check_com_factorization(F, t)
+    cm = jordan.com(t)
+    bumped = dataclasses.replace(cm, **{slot: getattr(cm, slot) + basis(F, 2, 1)})
+    monkeypatch.setattr(verify, "com", lambda _: bumped)
+    entry = _first_wrong_entry(F, bumped, t, jordan.det_cartan(t))
+    with pytest.raises(verify.CheckFailure, match=r"entry \(%d,%d\)" % entry):
+        verify._check_com_factorization(F, t)
+
+
+@pytest.mark.parametrize("p", [29, 313, P31, 2**61 - 1])
+def test_c4_passes_on_the_associative_families(p):
+    # levels 0-2 and quaternionic data at level 3, as the C4 trial draws them
+    ring = PrimeField(p)
+    for trial in range(5):
+        verify._c4_com(ring, derive_rng(0, "c4-associative", p, trial))
 
 
 def test_multiplicity_defect_unit_triple():
