@@ -43,7 +43,7 @@ coordinates is an array holding its value at all 162 points x = m z_k.
 The lanes are int64 while every unreduced value of those formulas fits (a
 sum of at most 32 products of three residues, so up to p of about 6.6e5,
 which covers p = 313), and Python ints otherwise, so the bound runs at
-every odd prime.
+every odd prime coeffs accepts.
 
 The rank over F_p at a rational point lower-bounds the characteristic-0
 rank at the same point (semicontinuity), so the reported bound uses the
@@ -355,7 +355,7 @@ def jacobian_image_rank(partials, m: np.ndarray, points: np.ndarray, prime: int,
     x = linalg.matmul(field, field.array(m), z)
     t = unflatten(field, 3, list(field.array(x, peak=_lane_peak(prime))))
     values = field.array(np.stack(partials(t)))
-    rows = (values[:, None, :] * z % prime).reshape(-1, z.shape[1])
+    rows = field.reduce(values[:, None, :] * z).reshape(-1, z.shape[1])
     built = time.perf_counter()
     out = linalg.rank(field, rows)
     if stage_sec is not None:
@@ -365,15 +365,15 @@ def jacobian_image_rank(partials, m: np.ndarray, points: np.ndarray, prime: int,
 
 
 def random_restriction(prime: int, rng) -> np.ndarray:
-    return np.array([[rng.randrange(prime) for _ in range(CHART_VARS)]
-                     for _ in range(N_VARS)], dtype=np.int64)
+    return PrimeField(prime).array([[rng.randrange(prime) for _ in range(CHART_VARS)]
+                                    for _ in range(N_VARS)])
 
 
 def random_points(prime: int, rng) -> np.ndarray:
     """CHART_ROWS points of F_p^6, drawn one point at a time, as the
     columns of a 6 x 162 array."""
-    return np.array([[rng.randrange(prime) for _ in range(CHART_VARS)]
-                     for _ in range(CHART_ROWS)], dtype=np.int64).T
+    return PrimeField(prime).array([[rng.randrange(prime) for _ in range(CHART_VARS)]
+                                    for _ in range(CHART_ROWS)]).T
 
 
 _GRADIENTS = {"sodm": s_odm_gradient, "twisted_sextic": twisted_sextic_gradient}

@@ -4,9 +4,13 @@ Two fields are used throughout: F_p for exact randomized identity testing
 and double-precision complex numbers for the numeric geometry.  Every
 decision that depends on how a field represents its scalars is made here,
 so the algebra, Jordan, symmetry and linear-algebra code never branches on
-the field.  Scalar arithmetic has one form on every ring: Python operators
-(+, -, *, unary -) on the ring's scalars, mapped back to the ring by
-reduce once per formula or per coordinate.  Both fields provide:
+the field, and no code outside this module picks the dtype of an array of
+field values or reduces it mod p by hand.  F_p is accepted at every odd
+prime below MR_BOUND (about 3.3e24), the range in which is_prime is a
+proof; is_prime raises ValueError from MR_BOUND up.  Scalar arithmetic has
+one form on every ring: Python operators (+, -, *, unary -) on the ring's
+scalars, mapped back to the ring by reduce once per formula or per
+coordinate.  Both fields provide:
 
 - zero, one, from_int, inv, sqrt (None for a non-residue) and random(rng);
 - reduce(a), which maps a value computed with Python or numpy operators on
@@ -37,18 +41,24 @@ import random
 
 import numpy as np
 
-# deterministic Miller-Rabin witnesses, valid for all n < 3.3e24
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the first 13 primes as witnesses is deterministic below
+# MR_BOUND, the least strong pseudoprime to all of them (Sorenson & Webster,
+# Math. Comp. 86, 2017); with the first 12 it is not (318665857834031151167461)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 # largest modulus for which (p-1)^2 fits in int64, used by linalg fast paths
 INT64_SAFE_MODULUS = 3_037_000_499
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for 64-bit-scale integers."""
+    """Deterministic Miller-Rabin below MR_BOUND; a ValueError at or above
+    it, where the witnesses no longer decide."""
+    if n >= MR_BOUND:
+        raise ValueError(f"primality is decided only below {MR_BOUND}, got {n}")
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_WITNESSES:
         if n % q == 0:
             return n == q
     d, s = n - 1, 0

@@ -64,7 +64,7 @@ def _pair_defect(ring, a: np.ndarray, b: np.ndarray, c: np.ndarray):
     rhs = _SIGN[:, None, :] * c[:, _INDEX].transpose(1, 0, 2)
     if isinstance(ring, ComplexField):
         return float(np.max(np.abs(lhs - rhs)))
-    return int(np.count_nonzero(np.any((lhs - rhs) % ring.p != 0, axis=1)))
+    return int(np.count_nonzero(np.any(ring.reduce(lhs - rhs) != 0, axis=1)))
 
 
 def triality_defect(ring, t1: np.ndarray, t2: np.ndarray):

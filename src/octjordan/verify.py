@@ -7,7 +7,10 @@ defect polynomial of degree d survives a single trial with probability at
 most d/p, so the per-check failure bound reported is trials * d / p (a
 union bound; with p = 2^31 - 1 and degree 24 it is far below 1e-5 at 100
 trials), capped at 1.  A check that ran no trial reports 1, and a suite
-that selects no check is refused.
+that selects no check is refused.  The bound needs a field, so the prime
+must be one coeffs.PrimeField accepts (an odd prime is_prime proves); the
+checks leave every dtype and reduction to the ring and linalg, and run at
+all of them.
 
 Degrees are recorded with respect to the hermitian-triple coordinates; in
 the equivariance checks the group element is sampled separately and the
@@ -158,19 +161,19 @@ def _c4_com(ring, rng):
 def _c5_associative_det(ring, rng):
     for level, power in ((0, 1), (1, 2), (2, 4)):
         t = random_triple(ring, level, rng)
-        if linalg.det(ring, build_M(t)) != pow(det_cartan(t), power, ring.p):
+        if linalg.det(ring, build_M(t)) != ring.reduce(det_cartan(t) ** power):
             _fail(f"det(M) != Det^{power} at level {level}", t.flatten())
 
 
 def _c6_det_m(ring, rng):
     t = random_triple(ring, 3, rng)
-    if linalg.det(ring, build_M(t)) != pow(s_odm(t), 4, ring.p):
+    if linalg.det(ring, build_M(t)) != ring.reduce(s_odm(t) ** 4):
         _fail("det(M_O) != S_ODM^4", t.flatten())
 
 
 def _c7_det_n(ring, rng):
     t = random_triple(ring, 3, rng)
-    want = ring.reduce(pow(twisted_cubic(t), 4, ring.p) * pow(twisted_sextic(t), 2, ring.p))
+    want = ring.reduce(twisted_cubic(t) ** 4 * twisted_sextic(t) ** 2)
     if linalg.det(ring, build_N(t)) != want:
         _fail("det(N_O) != cubic^4 * sextic^2", t.flatten())
 
@@ -215,7 +218,7 @@ def _c9_sl3_and_invariance(ring, rng):
     points = [random_triple(ring, 3, rng) for _ in range(5)]
     # each point's invariants are computed once and reused by every check
     sodm = [s_odm(t) for t in points]
-    dh4 = pow(int(dh), 4, ring.p)
+    dh4 = ring.reduce(dh ** 4)
     for t, v in zip(points, sodm):
         moved = symmetry.sl3_act(ring, h, t)
         if det_cartan(moved) != ring.reduce(dh * dh * det_cartan(t)):
@@ -238,13 +241,21 @@ def _c9_sl3_and_invariance(ring, rng):
     hb, dhb = _nonsingular(ring, lambda: [[ring.random(rng), ring.random(rng), 0],
                                           [ring.random(rng), ring.random(rng), 0],
                                           [0, 0, ring.random(rng)]])
-    db2, db4 = pow(int(dhb), 2, ring.p), pow(int(dhb), 4, ring.p)
+    db2, db4 = ring.reduce(dhb ** 2), ring.reduce(dhb ** 4)
     for t, v in zip(points, sextic):
         moved = symmetry.sl3_act(ring, hb, t)
         if twisted_cubic(moved) != ring.reduce(db2 * twisted_cubic(t)):
             _fail("twisted cubic covariance under block congruence fails", t.flatten())
         if twisted_sextic(moved) != ring.reduce(db4 * v):
             _fail("twisted sextic covariance under block congruence fails", t.flatten())
+
+
+def _lab(a: AlgebraElement, b: AlgebraElement, xc: np.ndarray) -> np.ndarray:
+    """L_a L_b X_c for X_c = L_c or R_c, the operator chain of C10, C11 and
+    the charpoly check."""
+    ring = a.ring
+    lab = linalg.matmul(ring, cayley.left_mult_matrix(a), cayley.left_mult_matrix(b))
+    return linalg.matmul(ring, lab, xc)
 
 
 def multiplicity_defect(a: AlgebraElement, b: AlgebraElement, c: AlgebraElement) -> int:
@@ -255,12 +266,9 @@ def multiplicity_defect(a: AlgebraElement, b: AlgebraElement, c: AlgebraElement)
     generic triples.
     """
     ring = a.ring
-    la, lb = cayley.left_mult_matrix(a), cayley.left_mult_matrix(b)
-    rc = cayley.right_mult_matrix(c)
-    prod = linalg.matmul(ring, linalg.matmul(ring, la, lb), rc)
-    op = prod + prod.T
+    prod = _lab(a, b, cayley.right_mult_matrix(c))
     shift = cayley.real_product(c.conjugate(), b * a)
-    op = ring.reduce(op - (shift + shift) * np.eye(8, dtype=np.int64))
+    op = ring.reduce(prod + prod.T - (shift + shift) * linalg.eye(ring, 8))
     return linalg.rank(ring, op)
 
 
@@ -272,7 +280,6 @@ def _c10_multiplicity(ring, rng):
 
 
 def _schur_factor_trial(ring, rng, twisted: bool):
-    p = ring.p
     for _ in range(64):
         t = random_triple(ring, 3, rng)
         na, nc = t.a.norm_sq(), t.c.norm_sq()
@@ -287,23 +294,20 @@ def _schur_factor_trial(ring, rng, twisted: bool):
         break
     else:
         raise CheckFailure("no admissible point for the Schur factorization")
-    la = cayley.left_mult_matrix(t.a)
-    lb = cayley.left_mult_matrix(t.b)
     cb = cayley.right_mult_matrix(t.c) if twisted else cayley.left_mult_matrix(t.c)
     idn = linalg.eye(ring, 8)
-    bmat = (linalg.matmul(ring, linalg.matmul(ring, la, lb), cb)
-            - na * nc * inv_l2 % p * idn) % p
+    bmat = ring.reduce(_lab(t.a, t.b, cb) - ring.reduce(na * nc * inv_l2) * idn)
     z = np.zeros((8, 8), dtype=idn.dtype)
-    r1 = linalg.block([[ring.inv(nc) * cb % p, z, z],
+    r1 = linalg.block([[ring.reduce(ring.inv(nc) * cb), z, z],
                        [z, idn, z],
-                       [z, z, ring.inv(na) * la.T % p]]) % p
-    r2 = linalg.block([[idn, nc * inv_l2 % p * idn % p, z],
+                       [z, z, ring.reduce(ring.inv(na) * cayley.left_mult_matrix(t.a).T)]])
+    r2 = linalg.block([[idn, ring.reduce(nc * inv_l2) * idn, z],
                        [z, idn, z],
-                       [ring.inv(delta) * bmat % p, na * inv_l2 % p * idn % p, idn]]) % p
-    w = (nu * idn - ring.inv(delta) * linalg.matmul(ring, bmat, bmat.T)) % p
-    dmid = linalg.block([[delta * idn % p, z, z],
+                       [ring.reduce(ring.inv(delta) * bmat), ring.reduce(na * inv_l2) * idn, idn]])
+    w = ring.reduce(nu * idn - ring.inv(delta) * linalg.matmul(ring, bmat, bmat.T))
+    dmid = linalg.block([[delta * idn, z, z],
                          [z, l2 * idn, z],
-                         [z, z, w]]) % p
+                         [z, z, w]])
     prod = linalg.matmul(ring, r1, r2)
     prod = linalg.matmul(ring, prod, dmid)
     prod = linalg.matmul(ring, prod, r2.T)
@@ -328,17 +332,13 @@ def charpoly_factor_check(a: AlgebraElement, b: AlgebraElement, c: AlgebraElemen
     msg) otherwise; a match with another exponent is a failure too.
     """
     ring = a.ring
-    p = ring.p
-    la, lb, lc = (cayley.left_mult_matrix(x) for x in (a, b, c))
-    prod = linalg.matmul(ring, linalg.matmul(ring, la, lb), lc)
-    op = (prod + prod.T) % p
-    mat = (kappa_val * np.eye(8, dtype=np.int64) - op) % p
-    lhs = linalg.det(ring, mat)
+    prod = _lab(a, b, cayley.left_mult_matrix(c))
+    lhs = linalg.det(ring, ring.reduce(kappa_val * linalg.eye(ring, 8) - (prod + prod.T)))
     re_cab = cayley.real_product(c, a * b)
     re_cba = cayley.real_product(c, b * a)
     asq = cayley.associator(c, b, a).norm_sq()
     quad = ring.reduce((kappa_val - (re_cab + re_cab)) * (kappa_val - (re_cba + re_cba)) - asq)
-    if lhs == pow(quad, 4, p):
+    if lhs == ring.reduce(quad ** 4):
         return True, ""
     return False, f"det is not the fourth power of the quadratic (lhs={lhs}, quad={quad})"
 

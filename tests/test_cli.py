@@ -1,6 +1,8 @@
 import json
 import random
 
+import pytest
+
 from octjordan import reduce
 from octjordan.cli import main
 from octjordan.coeffs import ComplexField, PrimeField
@@ -9,6 +11,7 @@ from octjordan.reduce import random_generic_triple
 from octjordan.symmetry import sl3_act, spin7_act
 
 P31 = 2**31 - 1
+P80 = 1208925819614629174706189   # the least prime above 2^80
 
 
 def run(capsys, *argv):
@@ -31,6 +34,27 @@ def test_verify_rejects_bad_prime(capsys):
     code, _, err = run(capsys, "verify", "--prime", "360", "--trials", "1")
     assert code == 2
     assert "prime" in err
+
+
+def test_verify_and_autdim_run_past_int64(capsys):
+    code, out, _ = run(capsys, "verify", "--prime", str(P80), "--trials", "1")
+    assert code == 0 and json.loads(out)["all_passed"] is True
+    code, out, _ = run(capsys, "autdim", "--prime", str(P80), "--retries", "1")
+    assert code == 0 and json.loads(out)["aut_dim_bound"] == 29
+
+
+@pytest.mark.parametrize("prime, message", [
+    # composite, but a strong pseudoprime to the bases 2..37
+    (318665857834031151167461, "--prime must be an odd prime"),
+    # a Mersenne prime past the range in which primality is decided
+    (2**89 - 1, "primality is decided only below"),
+], ids=["pseudoprime", "past_the_bound"])
+@pytest.mark.parametrize("argv", [["verify", "--trials", "2"], ["autdim", "--retries", "2"]],
+                         ids=["verify", "autdim"])
+def test_a_modulus_that_is_not_a_proven_prime_is_a_usage_error(capsys, argv, prime, message):
+    code, out, err = run(capsys, *argv, "--prime", str(prime))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}")
 
 
 def test_verify_unknown_check(capsys):

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 import octjordan
-from octjordan.coeffs import (INT64_SAFE_MODULUS, ComplexField, PrimeField,
+from octjordan.coeffs import (INT64_SAFE_MODULUS, MR_BOUND, ComplexField, PrimeField,
                               derive_rng, is_prime)
 
 P31 = 2**31 - 1
 P61 = 2**61 - 1
+P80 = 1208925819614629174706189   # the least prime above 2^80
 INT64_TOP = 3_037_000_493   # the largest prime up to INT64_SAFE_MODULUS
 
 
@@ -21,6 +22,20 @@ def test_is_prime_basics():
     assert not is_prime(313 * 317)
     # strong pseudoprime to several bases
     assert not is_prime(3215031751)
+
+
+def test_is_prime_rejects_the_strong_pseudoprimes_to_the_first_primes():
+    # the least strong pseudoprimes to all of the first 9, 12 and 13 primes
+    # as bases (Sorenson & Webster, Math. Comp. 86, 2017)
+    assert not is_prime(3825123056546413051)
+    assert 318665857834031151167461 == 399165290221 * 798330580441
+    assert not is_prime(318665857834031151167461)
+    assert [q - 2**80 for q in range(2**80, P80 + 1) if is_prime(q)] == [13]
+    assert MR_BOUND == 3_317_044_064_679_887_385_961_981
+    with pytest.raises(ValueError, match="only below"):
+        is_prime(MR_BOUND)
+    with pytest.raises(ValueError, match="only below"):
+        PrimeField(2**89 - 1)
 
 
 def test_prime_field_rejects_bad_modulus():
@@ -142,8 +157,8 @@ def test_ring_contract(ring):
 
 
 # The only places outside coeffs that may decide on the field type, pick an
-# object dtype or test a ring's reduce against None, with the reason each
-# one stays.
+# object or int64 dtype or test a ring's reduce against None, with the
+# reason each one stays.
 RING_DECISIONS_ALLOWED = {
     # the algorithms differ: residue arithmetic and elimination against
     # numpy products, LU and singular values
@@ -155,6 +170,11 @@ RING_DECISIONS_ALLOWED = {
     # lift and the Spin7 word over F_p
     ("reduce", "reduce_to_identity"), ("symmetry", "fast_right_companion"),
     ("symmetry", "random_spin7"),
+    # int64 tables that hold no field values: +-1 structure constants, signs,
+    # the identity before ring.array, the tests' reference gradient (int64-safe
+    # primes only) and an index map
+    ("cayley", "left_basis_matrices"), ("symmetry", "kappa"), ("linalg", "eye"),
+    ("autdim", "gradient"), ("autdim", "_raise_map"),
 }
 
 
@@ -174,8 +194,8 @@ def _is_reduce_none_test(node: ast.Compare) -> bool:
 
 def _ring_decisions(tree: ast.Module):
     """(function, line) of every isinstance test on a field class, every
-    dtype= keyword that can select object and every test of a ring's
-    reduce against None."""
+    dtype= keyword that can select object or int64 and every test of a
+    ring's reduce against None."""
     out = []
 
     def visit(node, func):
@@ -188,7 +208,8 @@ def _ring_decisions(tree: ast.Module):
                     and len(node.args) == 2
                     and _names(node.args[1]) & {"PrimeField", "ComplexField"}):
                 out.append((func, node.lineno))
-            if any(k.arg == "dtype" and "object" in _names(k.value) for k in node.keywords):
+            if any(k.arg == "dtype" and _names(k.value) & {"object", "int64"}
+                   for k in node.keywords):
                 out.append((func, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, func)
@@ -224,6 +245,9 @@ def f(ring, x):
 def g(ring, reduce):
     if ring.reduce is None or reduce is not None:
         return ring.reduce == 0
+
+def h(x):
+    return np.array(x, dtype=np.int64), np.eye(3, dtype=np.uint8)
 """
     assert _ring_decisions(ast.parse(code)) == [("f", 3), ("f", 4), ("f", 5),
-                                                ("g", 8), ("g", 8)]
+                                                ("g", 8), ("g", 8), ("h", 12)]

@@ -2,13 +2,14 @@ import dataclasses
 
 import pytest
 
-from octjordan import cayley, jordan, symmetry, verify
+from octjordan import autdim, cayley, jordan, symmetry, verify
 from octjordan.cayley import basis, random_element
 from octjordan.coeffs import PrimeField, derive_rng
 from octjordan.verify import (charpoly_factor_check, check_ids,
                               multiplicity_defect, run_suite)
 
 P31 = 2**31 - 1
+P80 = 1208925819614629174706189   # the least prime above 2^80
 F = PrimeField(P31)
 
 
@@ -18,6 +19,14 @@ def test_small_suite_all_pass():
     assert {r.check_id for r in rep.results} == set(check_ids())
     for r in rep.results:
         assert r.failure_bound < 1e-5
+
+
+def test_every_check_and_the_bound_run_past_int64():
+    # residues past 2^63 only fit object arrays, which the ring picks
+    rep = run_suite(P80, seed=0, trials=1)
+    assert [(r.check_id, r.passed) for r in rep.results] == [(c, True) for c in check_ids()]
+    bound = autdim.aut_dimension_bound(P80, seed=0, retries=1)
+    assert (bound["max_rank"], bound["aut_dim_bound"]) == (133, 29)
 
 
 def test_zero_trials_empty_passing_report():
