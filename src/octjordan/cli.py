@@ -1,8 +1,10 @@
 """Command-line front end: verify / autdim / strata / reduce / eval.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage or input error.
-Reports are canonical JSON (sorted keys, 12-significant-digit floats) so
-identical runs produce byte-identical output.
+Reports are canonical JSON (sorted keys, 12-significant-digit floats), so
+two identical runs differ only in the wall-clock times that the `verify`
+and `autdim` reports carry (the keys ending in _sec); the other reports and
+the `reduce` transcripts are byte-identical.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ class UsageError(Exception):
 
 
 def _canonical(obj):
-    """Fixed float formatting so reports diff cleanly across runs."""
+    """Fixed float formatting, so that identical runs differ only in their timings."""
     if isinstance(obj, float):
         return float(f"{obj:.12g}")
     if isinstance(obj, complex):

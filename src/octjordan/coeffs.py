@@ -4,10 +4,12 @@ Two fields are used throughout: F_p for exact randomized identity testing
 and double-precision complex numbers for the numeric geometry.  Every
 decision that depends on how a field represents its scalars is made here,
 so the algebra, Jordan, symmetry and linear-algebra code never branches on
-the field, and no code outside this module picks the dtype of an array of
-field values or reduces it mod p by hand.  F_p is accepted at every odd
-prime below MR_BOUND (about 3.3e24), the range in which is_prime is a
-proof; is_prime raises ValueError from MR_BOUND up.  Scalar arithmetic has
+the field, and no code outside this module and linalg's algorithms picks or
+tests the dtype of an array of field values or reduces mod p by hand,
+except the polynomial ring's own arithmetic; a scan in the tests checks
+every module.  F_p is accepted at every odd prime below MR_BOUND (about
+3.3e24), the range in which is_prime is a proof; is_prime raises
+ValueError from MR_BOUND up.  Scalar arithmetic has
 one form on every ring: Python operators (+, -, *, unary -) on the ring's
 scalars, mapped back to the ring by reduce once per formula or per
 coordinate.  Both fields provide:
@@ -29,8 +31,9 @@ coordinate.  Both fields provide:
 
 autdim.PolyRing has zero, one, from_int, reduce (coefficients mod p, zeros
 dropped) and inv (of constants) on sparse polynomials, but no dtype, array
-or JSON form.  Its scalars' operators leave the coefficients unreduced,
-like Python ints over F_p.
+or JSON form, and takes every prime PrimeField accepts.  Its scalars'
+operators leave the Python-int coefficients unreduced, like Python ints
+over F_p.
 """
 
 from __future__ import annotations

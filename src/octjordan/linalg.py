@@ -170,7 +170,7 @@ def rank(ring, a: np.ndarray, tol: float | None = None) -> int:
         s = np.linalg.svd(a, compute_uv=False)
         if s.size == 0 or s[0] == 0.0:
             return 0
-        return int(np.sum(s > (tol or DEFAULT_RANK_TOL) * s[0]))
+        return int(np.sum(s > (DEFAULT_RANK_TOL if tol is None else tol) * s[0]))
     _, pivcols, _ = _echelon(ring.p, a, reduced=False)
     return len(pivcols)
 
@@ -181,7 +181,7 @@ def nullspace(ring, a: np.ndarray, tol: float | None = None) -> np.ndarray:
         # the full right factor is only needed when there are fewer rows
         _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
         smax = s[0] if s.size else 0.0
-        r = int(np.sum(s > (tol or DEFAULT_RANK_TOL) * smax)) if smax else 0
+        r = int(np.sum(s > (DEFAULT_RANK_TOL if tol is None else tol) * smax)) if smax else 0
         return vh[r:].conj().T
     p = ring.p
     m, pivcols, _ = _echelon(p, a)

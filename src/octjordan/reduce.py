@@ -30,7 +30,10 @@ guards are the pivots lambda2, relative to the norm of the state, and the
 Gauss-Newton stagnation; each commutes, like the action, with scaling the
 input by any nonzero complex number, and a failure names its step.  The
 emitted word is self-certifying: its residual is that of the replayed word,
-which must be within the requested tolerance.
+which must be within the requested tolerance.  It also records
+cubic_certificate = det_cartan(conj u) (|t| scale)^3, u = t / |t|, which is
+1 in exact arithmetic because the moves keep the cubic; it is recorded, not
+gated.
 """
 
 from __future__ import annotations
@@ -76,6 +79,9 @@ class TransformWord:
     scale: complex = 1 + 0j
     intermediates: list = field(default_factory=list)  # flattened states after each move
     residual: float = 0.0
+    # det_cartan(conj t) of the input times the cube of the word's scale: the
+    # moves keep that cubic, so it is 1 in exact arithmetic
+    cubic_certificate: complex = 1 + 0j
 
     def record(self, label: str, move, state: HermitianTriple) -> HermitianTriple:
         self.moves.append(move)
@@ -99,6 +105,7 @@ class TransformWord:
         return {
             "moves": moves,
             "scale": _RING.encode(self.scale),
+            "cubic_certificate": _RING.encode(self.cubic_certificate),
             "intermediates": [[_RING.encode(z) for z in s] for s in self.intermediates],
             "residual": self.residual,
             "solver": [{"step": label, "iterations": rec.iterations,
@@ -372,16 +379,17 @@ def reduce_to_identity(t: HermitianTriple, tol: float = 1e-6,
     word = TransformWord()
     state = t
     scale0 = _norm(t)
-
-    if distance_to_identity(t) <= tol:
-        word.residual = distance_to_identity(t)
-        return word
     # det_cartan(conj t), the cubic the moves keep, of the input over its
     # norm: scale-free, with no cube to overflow or underflow
     u = t.scale(1 / scale0) if scale0 else t
-    _guard("input", "det_cartan(conj t)",
-           det_cartan(HermitianTriple(_RING, 3, u.lambdas, u.a.conjugate(), u.b.conjugate(),
-                                      u.c.conjugate())), 1.0)
+    cubic = det_cartan(HermitianTriple(_RING, 3, u.lambdas, u.a.conjugate(), u.b.conjugate(),
+                                       u.c.conjugate()))
+
+    if distance_to_identity(t) <= tol:
+        word.residual = distance_to_identity(t)
+        word.cubic_certificate = complex(cubic * scale0 ** 3)
+        return word
+    _guard("input", "det_cartan(conj t)", cubic, 1.0)
 
     if not _is_offdiag_zero(state, GENERIC_TOL * max(scale0, 1e-300)):
         state = _offdiagonal_pipeline(state, word, rng)
@@ -401,6 +409,7 @@ def reduce_to_identity(t: HermitianTriple, tol: float = 1e-6,
     p = 1.0 if abs(np.linalg.slogdet(smat)[1]) < 690 else 2.0 ** -math.frexp(sc)[1]
     mu = (1 / np.linalg.det(smat * p)) ** (1 / 3) * p
     word.scale = mu
+    word.cubic_certificate = complex(cubic * (scale0 * mu) ** 3)
     try:
         h = symmetric_congruence_to_identity(smat * mu)
     except linalg.SingularMatrixError as exc:

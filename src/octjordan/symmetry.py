@@ -102,11 +102,9 @@ class TrialityTriple:
 
 def _canonical_sign(ring, m: np.ndarray) -> np.ndarray:
     """The sign of the lifts: the first nonzero entry made a least residue."""
-    p = ring.p
-    for v in m.ravel().tolist():
-        if v % p:
-            return (-m) % p if v % p > p - v % p else m % p
-    return m
+    m = ring.reduce(m)
+    first = next((v for v in m.ravel().tolist() if v), 0)
+    return ring.reduce(-m) if 2 * first > ring.p else m
 
 
 def _first_column_system(ring, t2: np.ndarray) -> np.ndarray:
@@ -248,10 +246,10 @@ def _nilpotent_word(p: int) -> tuple:
     rng = random.Random(f"spin7-word:{p}")
 
     def draw():
-        return [0] + [rng.randrange(p) for _ in range(7)]
+        return [0] + [ring.random(rng) for _ in range(7)]
 
     def dot(x, y):
-        return sum(a * b for a, b in zip(x, y)) % p
+        return ring.reduce(sum(a * b for a, b in zip(x, y)))
 
     u0 = draw()
     while (root := ring.sqrt(-dot(u0[:7], u0[:7]))) is None:
@@ -265,11 +263,12 @@ def _nilpotent_word(p: int) -> tuple:
         a2, h = [], []
         for _ in range(WORD_LENGTH):
             v, w = draw(), draw()
-            u = [(dot(v, v) * a - 2 * dot(u0, v) * b) % p for a, b in zip(u0, v)]
+            u = [ring.reduce(dot(v, v) * a - 2 * dot(u0, v) * b) for a, b in zip(u0, v)]
             i, uw = next((i for i in range(8) if u[i]), 0), dot(u, w)
-            w = [(u[i] * b - (uw if k == i else 0)) % p for k, b in enumerate(w)]  # w.u = 0
-            a2.append([[(u[r] * w[c] - w[r] * u[c]) % p for c in range(8)] for r in range(8)])
-            h.append([[-half * dot(w, w) * x * y % p for y in u] for x in u])
+            w = [ring.reduce(u[i] * b - (uw if k == i else 0)) for k, b in enumerate(w)]  # w.u = 0
+            a2.append([[ring.reduce(u[r] * w[c] - w[r] * u[c]) for c in range(8)]
+                       for r in range(8)])
+            h.append([[ring.reduce(-half * dot(w, w) * x * y) for y in u] for x in u])
         a2 = ring.array(a2)
         rank = len(linalg._echelon(p, a2.reshape(WORD_LENGTH, 64), reduced=False)[1])
     out = (triality_partner(ring, a2, half), a2, ring.array(h))

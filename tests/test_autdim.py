@@ -14,6 +14,8 @@ from octjordan.jordan import (random_triple, s_odm, s_odm_gradient, twisted_sext
                               twisted_sextic_gradient, unflatten)
 
 P31 = 2**31 - 1
+P61 = 2**61 - 1
+P80 = 2**80 + 13             # the least prime above 2^80
 EXPANSIONS = ((expand_sodm, s_odm_gradient, s_odm),
               (expand_twisted_sextic, twisted_sextic_gradient, twisted_sextic))
 
@@ -118,39 +120,6 @@ def test_poly_ring_inverse_of_constant_only():
         ring.inv(ring.variable(0))
 
 
-def _partials(poly, p):
-    return [poly.diff(i, p) for i in range(poly.n)]
-
-
-def gradient_at(grad: tuple, x: np.ndarray, prime: int) -> np.ndarray:
-    """The reference evaluator: every partial of a gradient() at every
-    column of x, mod prime; row i holds partial i at the points x[:, k].
-
-    A partial is one sum over its terms of the coefficient times the
-    term's coordinates gathered from x, one factor at a time.  The products
-    stay unreduced when the partial's whole sum fits in int64 and are
-    reduced after every factor otherwise."""
-    x = np.asarray(x, dtype=np.int64) % prime
-    out = np.zeros((len(grad), x.shape[1]), dtype=np.int64)
-    for i, (factors, coeffs) in enumerate(grad):
-        if not len(coeffs):
-            continue
-        lazy = len(coeffs) * (prime - 1) ** (factors.shape[1] + 1) < 1 << 63
-        acc = coeffs[:, None]
-        for var in factors.T:
-            acc = acc * x[var] if lazy else acc * x[var] % prime
-        out[i] = acc.sum(axis=0) % prime
-    return out
-
-
-def _gather_terms(factors, coeffs, n):
-    # the gather form read back into exponent tuples
-    out = {}
-    for row, c in zip(factors.tolist(), coeffs.tolist()):
-        out[tuple(row.count(v) for v in range(n))] = c
-    return out
-
-
 def test_gradient_basics():
     p = 313
     ring = PolyRing(p, 27)
@@ -158,26 +127,20 @@ def test_gradient_basics():
     for v in (25, 25, 26, 26):
         cube = cube * ring.variable(v)
     g = gradient(cube, p)
-    factors, coeffs = g[24]
-    assert factors.tolist() == [[24, 25, 25, 26, 26]] and coeffs.tolist() == [2]
-    assert all(not len(g[i][1]) for i in range(27) if i not in (24, 25, 26))
+    assert len(g) == 27
+    assert g[24].terms == {(0,) * 24 + (1, 2, 2): 2}
+    assert all(g[i].is_zero() for i in range(27) if i not in (24, 25, 26))
     zg = gradient(SparsePoly.zero(27), p)
-    assert len(zg) == 27 and all(not len(c) for _, c in zg)
-    # at p = 3 the partials of x^3 y^3 vanish, and so do their gather terms
+    assert len(zg) == 27 and all(part.is_zero() for part in zg)
+    # at p = 3 the partials of x^3 y^3 vanish
     x3y3 = SparsePoly(27, {(3, 3) + (0,) * 25: 1})
-    assert all(not len(c) for _, c in gradient(x3y3, 3))
-
-
-@pytest.mark.parametrize("prime", [3, 313, P31])
-def test_gradient_gather_form_holds_the_partials(prime):
-    for poly in (expand_sodm(prime), expand_twisted_sextic(prime)):
-        grad = gradient(poly, prime)
-        assert len(grad) == 27
-        for (factors, coeffs), part in zip(grad, _partials(poly, prime)):
-            assert factors.dtype == coeffs.dtype == np.int64
-            assert factors.shape == (len(part), 5)
-            assert np.all(np.diff(factors, axis=1) >= 0)
-            assert _gather_terms(factors, coeffs, 27) == part.terms
+    assert all(part.is_zero() for part in gradient(x3y3, 3))
+    # no homogeneity or int64 requirement: the partials are SparsePoly.diff
+    for prime in (p, P61):
+        mixed = SparsePoly(27, {(1,) + (0,) * 26: 1, (2,) + (0,) * 26: prime - 1})
+        g = gradient(mixed, prime)
+        assert [part.terms for part in g] == [mixed.diff(i, prime).terms for i in range(27)]
+        assert g[0].terms == {(0,) * 27: 1, (1,) + (0,) * 26: prime - 2}
 
 
 def test_sodm_expansion_shape():
@@ -208,7 +171,7 @@ def test_euler_identity():
     # sum x_i dS/dx_i = 6 S for a homogeneous sextic
     p = 313
     s = expand_sodm(p)
-    parts = _partials(s, p)
+    parts = gradient(s, p)
     rng = derive_rng(0, "euler")
     for _ in range(10):
         pt = [rng.randrange(p) for _ in range(27)]
@@ -254,29 +217,9 @@ def test_jacobian_rank_133_survives_large_prime_rerun():
 
 
 @pytest.mark.parametrize("prime", [313, P31])
-def test_gradient_evaluation_matches_the_term_by_term_eval(prime):
-    # 313 keeps every product unreduced, 2^31 - 1 reduces after each factor
-    rng = derive_rng(0, "gradient-at", prime)
-    x = np.array([[rng.randrange(prime) for _ in range(4)] for _ in range(27)])
-    x[:, 0] = prime - 1                         # the largest products
-    for poly in (expand_sodm(prime), expand_twisted_sextic(prime)):
-        parts = _partials(poly, prime)
-        values = gradient_at(gradient(poly, prime), x, prime)
-        assert values.shape == (27, 4)
-        for i, part in enumerate(parts):
-            assert values[i].tolist() == [part.eval(x[:, k].tolist(), prime)
-                                          for k in range(4)]
-    mixed = SparsePoly(27, {(1,) + (0,) * 26: 1, (2,) + (0,) * 26: 1})
-    with pytest.raises(ValueError, match="homogeneous"):
-        gradient(mixed, prime)
-    with pytest.raises(ValueError, match="int64-safe"):
-        gradient(poly, 2**61 - 1)
-
-
-@pytest.mark.parametrize("prime", [313, P31])
 def test_restriction_evaluates_the_partials_on_the_chart(prime):
     # the reference restriction's row_i at z equals dS/dx_i at x = m z
-    parts = _partials(expand_sodm(prime), prime)
+    parts = gradient(expand_sodm(prime), prime)
     rng = derive_rng(0, "restrict", prime)
     m = random_restriction(prime, rng)
     rows = _reference_restrict(parts, m, prime)
@@ -331,7 +274,7 @@ def test_evaluation_rank_matches_the_coefficient_rank():
     twin = random_restriction(p, rng)
     twin[:, 4] = twin[:, 1]
     for (expand, grad, _), generic in zip(EXPANSIONS, (133, 104)):
-        partials = _partials(expand(p), p)
+        partials = gradient(expand(p), p)
         charts = [random_restriction(p, rng) for _ in range(2)]
         charts += [np.zeros((27, CHART_VARS), dtype=np.int64), twin]
         ranks = [(jacobian_image_rank(grad, m, random_points(p, rng), p),
@@ -374,7 +317,7 @@ def test_symbolic_triple_layout():
         assert len(q) == 1
 
 
-@pytest.mark.parametrize("prime", [313, P31])
+@pytest.mark.parametrize("prime", [313, P31, P61, P80])
 def test_closed_form_gradients_equal_the_expansion_partials(prime):
     # the exact certificate: run on polynomial scalars, the closed forms
     # are the partials of the expansion, term for term
@@ -382,7 +325,7 @@ def test_closed_form_gradients_equal_the_expansion_partials(prime):
     for expand, grad, _ in EXPANSIONS:
         closed = grad(t)
         assert len(closed) == 27
-        for i, part in enumerate(_partials(expand(prime), prime)):
+        for i, part in enumerate(gradient(expand(prime), prime)):
             assert closed[i].terms == part.terms, i
 
 
@@ -427,24 +370,13 @@ def test_int64_lanes_stop_at_the_lane_peak():
     assert PrimeField(above).array([1]).dtype == np.int64
 
 
-@pytest.mark.parametrize("prime", [313, P31])
-def test_closed_forms_match_the_gather_form_reference(prime):
-    rng = derive_rng(0, "closed-vs-gather", prime)
-    x = np.array([[prime - 1] + [rng.randrange(prime) for _ in range(3)] for _ in range(27)])
-    field = PrimeField(prime)
-    t = unflatten(field, 3, list(field.array(x, peak=_lane_peak(prime))))
-    for expand, grad, _ in EXPANSIONS:
-        reference = gradient_at(gradient(expand(prime), prime), x, prime)
-        assert field.array(np.stack(grad(t))).tolist() == reference.tolist()
-
-
 def test_the_bound_runs_past_the_int64_safe_primes():
-    rep = aut_dimension_bound(2**61 - 1, 1, retries=1)
+    rep = aut_dimension_bound(P61, 1, retries=1)
     assert rep["ranks"] == [133] and rep["aut_dim_bound"] == 29
 
 
 # ranks of aut_dimension_bound(p, seed, retries=3), seeds 0-5, computed from
-# the expansion's gather-form gradient before the closed forms replaced it
+# the expansion's partials before the closed forms replaced them
 PINNED_RANKS = {
     (3, "sodm"): [[126, 130, 132], [129, 123, 132], [132, 133, 131],
                   [131, 126, 128], [131, 126, 131], [126, 127, 133]],

@@ -56,6 +56,22 @@ def test_numeric_geometry_scale_sweep_reduces_at_every_scale():
         assert workload(seed).scale_sweep() == []
 
 
+def test_benchmark_rounds_answer_right_with_no_failed_op():
+    # rounds 0-2 of every workload at seeds 1 and 2, checked as the benchmark
+    # checks its rounds, then numeric_geometry's end-of-run report: a wrong
+    # answer or a failed op here would be one in every benchmark run
+    for seed in (1, 2):
+        for name, workload in _script("workloads")["WORKLOADS"].items():
+            w = workload(seed)
+            for k in range(3):
+                inp = w.inputs(k)
+                kinds, wrong = w.check(inp, w.run(inp))
+                assert wrong == [], (name, seed, k)
+                assert all(failed == 0 for _, failed in kinds.values()), (name, seed, kinds)
+            if hasattr(w, "finish"):
+                assert w.finish()[2] == [], (name, seed)
+
+
 _TRACE_TWO_REDUCTIONS = """
 import random, runpy, sys
 spans = runpy.run_path(sys.argv[1])

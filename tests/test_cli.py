@@ -82,17 +82,41 @@ def test_negative_counts_rejected(capsys):
     assert code == 2 and "--samples" in err
 
 
+def _untimed(obj):
+    """The report without its timings: every key ending in _sec, at any depth."""
+    if isinstance(obj, dict):
+        return {k: _untimed(v) for k, v in obj.items() if not k.endswith("_sec")}
+    if isinstance(obj, list):
+        return [_untimed(v) for v in obj]
+    return obj
+
+
 def test_report_determinism(capsys, tmp_path):
-    args = ["verify", "--prime", str(P31), "--seed", "3", "--trials", "2",
-            "--checks", "c6"]
-    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    assert main(args + ["--out", str(p1)]) == 0
-    assert main(args + ["--out", str(p2)]) == 0
-    a, b = json.loads(p1.read_text()), json.loads(p2.read_text())
-    a["elapsed_sec"] = b["elapsed_sec"] = 0
-    for c in a["checks"] + b["checks"]:
-        c["elapsed_sec"] = 0
-    assert a == b
+    # two identical runs differ only in the *_sec timings of their reports,
+    # and a reduction transcript not at all
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps(triple_to_json(random_generic_triple(random.Random(4)))))
+    commands = {
+        "verify": ["verify", "--prime", str(P31), "--seed", "3", "--trials", "2",
+                   "--checks", "c6"],
+        "autdim": ["autdim", "--prime", "313", "--seed", "3", "--retries", "1"],
+        "strata": ["strata", "--surface", "sextic", "--matrix", "N", "--samples", "10",
+                   "--seed", "3"],
+    }
+    for name, args in commands.items():
+        p1, p2 = tmp_path / f"{name}-a.json", tmp_path / f"{name}-b.json"
+        assert main(args + ["--out", str(p1)]) == 0
+        assert main(args + ["--out", str(p2)]) == 0
+        a, b = json.loads(p1.read_text()), json.loads(p2.read_text())
+        assert _untimed(a) == _untimed(b), name
+    outs = []
+    for name in ("a", "b"):
+        transcript = tmp_path / f"word-{name}.json"
+        code, out, _ = run(capsys, "reduce", "--input", str(point), "--seed", "3",
+                           "--transcript", str(transcript))
+        assert code == 0
+        outs.append((out, transcript.read_bytes()))
+    assert outs[0] == outs[1]
 
 
 def test_report_to_missing_directory(capsys):

@@ -171,11 +171,16 @@ RING_DECISIONS_ALLOWED = {
     ("reduce", "reduce_to_identity"), ("symmetry", "fast_right_companion"),
     ("symmetry", "random_spin7"),
     # int64 tables that hold no field values: +-1 structure constants, signs,
-    # the identity before ring.array, the tests' reference gradient (int64-safe
-    # primes only) and an index map
+    # the identity before ring.array and an index map
     ("cayley", "left_basis_matrices"), ("symmetry", "kappa"), ("linalg", "eye"),
-    ("autdim", "gradient"), ("autdim", "_raise_map"),
+    ("autdim", "_raise_map"),
 }
+
+# Outside coeffs and linalg (the algorithms module, whose residue arithmetic
+# is the reduction itself) no code compares a dtype with int64 or object or
+# reduces mod p by hand, except the polynomial ring's own arithmetic: the
+# methods of these classes.
+HAND_REDUCTIONS_ALLOWED = {("autdim", "SparsePoly"), ("autdim", "PolyRing")}
 
 
 def _names(node: ast.AST) -> set:
@@ -192,40 +197,73 @@ def _is_reduce_none_test(node: ast.Compare) -> bool:
         and isinstance(node.comparators[0], ast.Constant) and node.comparators[0].value is None
 
 
+def _is_dtype_test(node: ast.Compare) -> bool:
+    """A dtype (`dtype` or `x.dtype`) compared with int64 or object."""
+    sides = [node.left, *node.comparators]
+
+    def is_dtype(x):
+        return (isinstance(x, ast.Name) and x.id == "dtype") or \
+            (isinstance(x, ast.Attribute) and x.attr == "dtype")
+
+    return any(map(is_dtype, sides)) and any(
+        _names(x) & {"object", "int64"} for x in sides if not is_dtype(x))
+
+
+def _is_modulus(node: ast.AST) -> bool:
+    """A name p or prime, or an attribute .p."""
+    return (isinstance(node, ast.Name) and node.id in ("p", "prime")) or \
+        (isinstance(node, ast.Attribute) and node.attr == "p")
+
+
 def _ring_decisions(tree: ast.Module):
-    """(function, line) of every isinstance test on a field class, every
-    dtype= keyword that can select object or int64 and every test of a
-    ring's reduce against None."""
+    """(kind, scope, line) of every finding; scope is the enclosing class
+    and function names joined by dots.  Kind "decision": an isinstance test
+    on a field class, a dtype= keyword that can select object or int64 or a
+    test of a ring's reduce against None; "dtype": a dtype compared with
+    int64 or object; "reduction": % or %= by a modulus (p, prime or .p) or
+    a 3-argument pow with one."""
     out = []
 
-    def visit(node, func):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            func = node.name
-        if isinstance(node, ast.Compare) and _is_reduce_none_test(node):
-            out.append((func, node.lineno))
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Compare):
+            if _is_reduce_none_test(node):
+                out.append(("decision", scope, node.lineno))
+            if _is_dtype_test(node):
+                out.append(("dtype", scope, node.lineno))
+        if (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Mod)
+                and _is_modulus(node.right if isinstance(node, ast.BinOp) else node.value)):
+            out.append(("reduction", scope, node.lineno))
         if isinstance(node, ast.Call):
             if (isinstance(node.func, ast.Name) and node.func.id == "isinstance"
                     and len(node.args) == 2
                     and _names(node.args[1]) & {"PrimeField", "ComplexField"}):
-                out.append((func, node.lineno))
+                out.append(("decision", scope, node.lineno))
             if any(k.arg == "dtype" and _names(k.value) & {"object", "int64"}
                    for k in node.keywords):
-                out.append((func, node.lineno))
+                out.append(("decision", scope, node.lineno))
+            if (isinstance(node.func, ast.Name) and node.func.id == "pow"
+                    and len(node.args) == 3 and _is_modulus(node.args[2])):
+                out.append(("reduction", scope, node.lineno))
         for child in ast.iter_child_nodes(node):
-            visit(child, func)
+            visit(child, scope)
 
-    visit(tree, None)
+    visit(tree, "")
     return out
 
 
 def test_ring_decisions_stay_in_the_allowlist():
     src = Path(octjordan.__file__).parent
-    found = {}
+    found, by_hand = {}, {}
     for path in sorted(src.glob("*.py")):
         if path.stem == "coeffs":
             continue
-        for func, line in _ring_decisions(ast.parse(path.read_text())):
-            found.setdefault((path.stem, func), []).append(line)
+        for kind, scope, line in _ring_decisions(ast.parse(path.read_text())):
+            if kind == "decision":
+                found.setdefault((path.stem, scope), []).append(line)
+            elif path.stem != "linalg":
+                by_hand.setdefault((kind, path.stem, scope), []).append(line)
     outside = {site: lines for site, lines in found.items()
                if site not in RING_DECISIONS_ALLOWED}
     assert not outside, f"field-type decisions outside coeffs: {outside}"
@@ -233,6 +271,12 @@ def test_ring_decisions_stay_in_the_allowlist():
     assert not stale, f"allowlisted sites that no longer decide: {sorted(stale)}"
     repeated = {site: lines for site, lines in found.items() if len(lines) > 1}
     assert not repeated, f"more than one field-type decision per site: {repeated}"
+    owners = {(module, scope.split(".")[0]) for _, module, scope in by_hand}
+    stray = {site: lines for site, lines in by_hand.items()
+             if site[0] == "dtype" or (site[1], site[2].split(".")[0])
+             not in HAND_REDUCTIONS_ALLOWED}
+    assert not stray, f"dtype tests or hand reductions outside coeffs and linalg: {stray}"
+    assert owners == HAND_REDUCTIONS_ALLOWED, f"hand reductions only in {sorted(owners)}"
 
 
 def test_ring_decision_scan_sees_each_kind_of_decision():
@@ -248,6 +292,15 @@ def g(ring, reduce):
 
 def h(x):
     return np.array(x, dtype=np.int64), np.eye(3, dtype=np.uint8)
+
+class K:
+    def k(self, ring, x, p, dtype):
+        if x.dtype is np.int64 or ring.dtype == object or dtype != np.uint8:
+            x %= p
+        return x % self.p, pow(x, -1, prime), pow(x, 2), x % q, (x + 1) % p
 """
-    assert _ring_decisions(ast.parse(code)) == [("f", 3), ("f", 4), ("f", 5),
-                                                ("g", 8), ("g", 8), ("h", 12)]
+    assert _ring_decisions(ast.parse(code)) == [
+        ("decision", "f", 3), ("decision", "f", 4), ("decision", "f", 5),
+        ("decision", "g", 8), ("decision", "g", 8), ("decision", "h", 12),
+        ("dtype", "K.k", 16), ("dtype", "K.k", 16), ("reduction", "K.k", 17),
+        ("reduction", "K.k", 18), ("reduction", "K.k", 18), ("reduction", "K.k", 18)]

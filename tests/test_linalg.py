@@ -52,6 +52,14 @@ def test_rank_complex_tolerance():
     assert np.linalg.norm(a @ v) <= 1e-7 * np.linalg.norm(a)
 
 
+def test_complex_zero_tolerance_is_not_the_default():
+    # tol=0.0 counts every nonzero singular value; only tol=None means 1e-8
+    a = np.diag([1, 1e-12]).astype(complex)
+    assert rank(C, a, tol=0.0) == 2 and rank(C, a) == 1
+    assert nullspace(C, a, tol=0.0).shape == (2, 0)
+    assert nullspace(C, a).shape == (2, 1)
+
+
 def test_solve_and_inv():
     rng = derive_rng(0, "solve")
     a = rand_mat(F, 6, rng)

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 
 import numpy as np
 import pytest
@@ -519,3 +520,19 @@ def test_word_tree_product_equals_the_left_fold(p):
         word = spin7_word(ring, t)
         for got, ref in zip((word.t1, word.t2), want):
             assert got.dtype == ref.dtype and got.tolist() == ref.tolist()
+
+
+# sha256 over the dtype and values of the stacks A1, A2 and A2^2 / 2 of the
+# word, pinned from the word built with hand reductions mod p
+WORD_DIGESTS = {
+    29: "8447c7ccda30e56b164512967728a809d26b4a4dfced234a7e35e0d4b88f4415",
+    313: "7aabaff2995e582f434ac8d7013bd088821c911f37b8282b1a9a1dfd3df7f75c",
+    P31: "e2b1e1c684998339bd8c2232d7707da5f4aedde0d615f3eea2182412251cc0e1",
+    2**61 - 1: "317c42a7c689de4bc9963b4ae9ec08d809482463090d0280b2dd3d505ef6fcbd",
+}
+
+
+@pytest.mark.parametrize("p", sorted(WORD_DIGESTS))
+def test_word_stacks_are_pinned(p):
+    stacks = [(m.dtype.str, m.tolist()) for m in symmetry._nilpotent_word(p)]
+    assert hashlib.sha256(repr(stacks).encode()).hexdigest() == WORD_DIGESTS[p]
