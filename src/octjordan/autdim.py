@@ -39,8 +39,11 @@ times, so the bound reads 30, which still holds.
 
 The partials are not expanded.  jordan.s_odm_gradient and
 twisted_sextic_gradient give them in closed form in the octonion algebra
-and run once per chart on lane-stacked scalars: each of the 27
-coordinates is an array holding its value at all 162 points x = m z_k.
+and run once per bound on lane-stacked scalars: each of the 27
+coordinates is an array of 162 * retries lanes, its value at the 162
+points x = m z_k of every retry's chart.  Each retry still draws its chart
+and points from its own stream, and each retry's 162 x 162 matrix is
+ranked on its own.
 The lanes are int64 while every unreduced value of those formulas fits (a
 sum of at most 32 products of three residues, so up to p of about 6.6e5,
 which covers p = 313), and Python ints otherwise, so the bound runs at
@@ -315,28 +318,37 @@ def _lane_peak(prime: int) -> int:
 
 
 def jacobian_image_rank(partials, m: np.ndarray, points: np.ndarray, prime: int, *,
-                        stage_sec: dict | None = None) -> int:
+                        stage_sec: dict | None = None) -> int | list[int]:
     """Rank of the matrix with entry ((i, j), k) = z_jk dS/dx_i(m z_k), the
     products z_j dS/dx_i on the chart x = m z evaluated at the columns z_k
     of points (6 x K).  partials is jordan.s_odm_gradient or
     twisted_sextic_gradient; it runs once, on the points x = m z_k stacked
     as lanes.
 
+    m (27 x 6) and points may carry one leading axis of charts, broadcast
+    as linalg.matmul broadcasts them.  partials then still runs once, on
+    the points of every chart as one lane stack, each chart's 2-D matrix is
+    ranked on its own, and the result is the list of their ranks.
+
     stage_sec, when given, accumulates the seconds spent evaluating the
-    matrix ("restrict") and ranking it ("rank")."""
+    matrices ("restrict") and ranking them ("rank")."""
     start = time.perf_counter()
     field = PrimeField(prime)
     z = field.array(points)
     x = linalg.matmul(field, field.array(m), z)
-    t = unflatten(field, 3, list(field.array(x, peak=_lane_peak(prime))))
-    values = field.array(np.stack(partials(t)))
-    rows = field.reduce(values[:, None, :] * z).reshape(-1, z.shape[1])
+    charts = x.reshape(-1, N_VARS, x.shape[-1])
+    lanes = charts.transpose(1, 0, 2).reshape(N_VARS, -1)
+    t = unflatten(field, 3, list(field.array(lanes, peak=_lane_peak(prime))))
+    values = field.array(np.stack(partials(t))).reshape(N_VARS, len(charts), -1)
+    z = z.reshape(-1, CHART_VARS, z.shape[-1])
+    rows = field.reduce(values.transpose(1, 0, 2)[:, :, None, :] * z[:, None])
+    rows = rows.reshape(len(charts), CHART_ROWS, -1)
     built = time.perf_counter()
-    out = linalg.rank(field, rows)
+    ranks = [linalg.rank(field, chart) for chart in rows]
     if stage_sec is not None:
         stage_sec["restrict"] = stage_sec.get("restrict", 0.0) + built - start
         stage_sec["rank"] = stage_sec.get("rank", 0.0) + time.perf_counter() - built
-    return out
+    return ranks if x.ndim > 2 else ranks[0]
 
 
 def random_restriction(prime: int, rng) -> np.ndarray:
@@ -364,12 +376,14 @@ def aut_dimension_bound(prime: int, seed: int, retries: int,
     start = time.perf_counter()
     ranks = []
     stage_sec = {"restrict": 0.0, "rank": 0.0}
-    for k in range(retries):
-        rng = derive_rng(seed, "autdim", invariant, k)
-        m = random_restriction(prime, rng)
-        points = random_points(prime, rng)
-        ranks.append(jacobian_image_rank(_GRADIENTS[invariant], m, points, prime,
-                                         stage_sec=stage_sec))
+    if retries > 0:
+        # each retry draws its chart, then its points, from its own stream;
+        # the gradient then runs once on the points of every retry
+        rngs = [derive_rng(seed, "autdim", invariant, k) for k in range(retries)]
+        charts = [(random_restriction(prime, rng), random_points(prime, rng)) for rng in rngs]
+        m, points = map(np.stack, zip(*charts))
+        ranks = jacobian_image_rank(_GRADIENTS[invariant], m, points, prime,
+                                    stage_sec=stage_sec)
     report = {
         "prime": prime,
         "seed": seed,

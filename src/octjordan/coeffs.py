@@ -41,6 +41,7 @@ from __future__ import annotations
 import cmath
 import hashlib
 import random
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,9 +55,11 @@ MR_BOUND = 3_317_044_064_679_887_385_961_981
 INT64_SAFE_MODULUS = 3_037_000_499
 
 
+@lru_cache(maxsize=1024, typed=True)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin below MR_BOUND; a ValueError at or above
-    it, where the witnesses no longer decide."""
+    it, where the witnesses no longer decide.  Memoized, since every
+    PrimeField construction asks again (a raised ValueError is not cached)."""
     if n >= MR_BOUND:
         raise ValueError(f"primality is decided only below {MR_BOUND}, got {n}")
     if n < 2:

@@ -300,6 +300,56 @@ def test_aut_dimension_bound_reports():
     assert empty["restrict_sec"] == empty["rank_sec"] == 0
 
 
+def _per_chart_ranks(prime, seed, retries, invariant):
+    """The bound's ranks one chart at a time: each retry's chart and points
+    from its own stream, and one gradient evaluation per chart."""
+    grad = {"sodm": s_odm_gradient, "twisted_sextic": twisted_sextic_gradient}[invariant]
+    ranks = []
+    for k in range(retries):
+        rng = derive_rng(seed, "autdim", invariant, k)
+        m = random_restriction(prime, rng)
+        ranks.append(jacobian_image_rank(grad, m, random_points(prime, rng), prime))
+    return ranks
+
+
+@pytest.mark.parametrize("invariant", ["sodm", "twisted_sextic"])
+def test_stacked_bound_matches_the_per_chart_ranks(invariant):
+    # one gradient evaluation on 162 * retries lanes ranks as the charts
+    # do one at a time
+    for seed in range(20):
+        rep = aut_dimension_bound(313, seed, retries=3, invariant=invariant)
+        assert rep["ranks"] == _per_chart_ranks(313, seed, 3, invariant), seed
+
+
+@pytest.mark.parametrize("prime, retries", [(P31, 3), (P61, 2)])
+def test_stacked_bound_on_object_lanes_matches_the_per_chart_ranks(prime, retries):
+    rep = aut_dimension_bound(prime, 0, retries=retries)
+    assert rep["ranks"] == _per_chart_ranks(prime, 0, retries, "sodm") == [133] * retries
+
+
+def test_stacked_charts_give_one_rank_each():
+    # charts stacked on a leading axis, with the points broadcast or stacked
+    p = 313
+    rng = derive_rng(0, "stacked-charts")
+    zero = np.zeros((27, CHART_VARS), dtype=np.int64)
+    charts = np.stack([random_restriction(p, rng), zero, random_restriction(p, rng)])
+    points = random_points(p, rng)
+    stage_sec = {}
+    ranks = jacobian_image_rank(s_odm_gradient, charts, points, p, stage_sec=stage_sec)
+    assert ranks == [jacobian_image_rank(s_odm_gradient, m, points, p) for m in charts]
+    assert ranks == [133, 0, 133] and set(stage_sec) == {"restrict", "rank"}
+    both = np.stack([points, random_points(p, rng), points])
+    assert jacobian_image_rank(s_odm_gradient, charts, both, p) == [
+        jacobian_image_rank(s_odm_gradient, m, z, p) for m, z in zip(charts, both)]
+
+
+def test_no_retries_makes_no_evaluation():
+    for retries in (0, -1):
+        rep = aut_dimension_bound(313, seed=0, retries=retries)
+        assert rep["ranks"] == [] and "max_rank" not in rep and "note" in rep
+        assert rep["restrict_sec"] == rep["rank_sec"] == 0
+
+
 def test_twisted_sextic_variant_reports_without_target():
     rep = aut_dimension_bound(313, seed=0, retries=1, invariant="twisted_sextic")
     assert rep["invariant"] == "twisted_sextic"

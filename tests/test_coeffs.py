@@ -38,6 +38,19 @@ def test_is_prime_rejects_the_strong_pseudoprimes_to_the_first_primes():
         PrimeField(2**89 - 1)
 
 
+def test_memoized_is_prime_still_refuses_after_a_cached_call():
+    # a cached answer is returned as computed, and a ValueError is not cached
+    pseudoprime = 318665857834031151167461
+    for _ in range(2):
+        assert not is_prime(pseudoprime)
+        assert is_prime(P31) and is_prime(P80)
+        with pytest.raises(ValueError, match="only below"):
+            is_prime(MR_BOUND)
+        with pytest.raises(ValueError, match="not prime"):
+            PrimeField(pseudoprime)
+    assert is_prime.cache_info().hits >= 3
+
+
 def test_prime_field_rejects_bad_modulus():
     with pytest.raises(ValueError):
         PrimeField(360)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -244,8 +246,9 @@ def test_elimination_budget_holds_under_worst_growth(p):
     assert reference_matmul(full, x.tolist(), p) == b
 
 
-# --- matmul against Python ints: a small prime, the int64 limb split at
-# 2^31-1 and at the largest int64-safe prime, and object dtype at 2^61-1
+# --- matmul against Python ints: the float64 branch at a small prime, the
+# int64 limb split at 2^31-1 and at the largest int64-safe prime, and object
+# dtype at 2^61-1
 
 MATMUL_PRIMES = [313, P31, largest_prime_at_most(INT64_SAFE_MODULUS), 2**61 - 1]
 
@@ -276,10 +279,11 @@ def test_matmul_matches_python_ints(p, k):
     neg_a = [[-rng.randrange(1, p) for _ in range(k)] for _ in range(3)]
     neg_b = [[-rng.randrange(1, p) for _ in range(4)] for _ in range(k)]
     # unreduced entries of either sign, as in +-x_i multiplication matrices
+    mixed_a = [[rng.randrange(1 - p, p) for _ in range(k)] for _ in range(3)]
     mixed_b = [[rng.randrange(1 - p, p) for _ in range(4)] for _ in range(k)]
     vec = [rng.randrange(1 - p, p) for _ in range(k)]
     for a, b in ((top_a, top_b), (neg_a, neg_b), (neg_a, top_b), (top_a, mixed_b),
-                 (neg_a, vec), (top_a, [p - 1] * k)):
+                 (mixed_a, mixed_b), (neg_a, vec), (top_a, [p - 1] * k)):
         assert_exact_product(ring, a, b, reference_matmul(a, b, p))
 
 
@@ -292,3 +296,185 @@ def test_matmul_stacked(p):
     a[0] = [[p - 1] * 8] * 8
     b[0] = [[1 - p] * 8] * 8
     assert_exact_product(ring, a, b, [reference_matmul(x, y, p) for x, y in zip(a, b)])
+
+
+# --- the float64 branch of the F_p product: k (p - 1)^2 < 2^53 keeps every
+# partial sum of a BLAS product exact
+
+def _largest_float_prime(k):
+    """The largest prime p whose k-term sums take the float64 branch."""
+    p = largest_prime_at_most(math.isqrt(((1 << 53) - 1) // k) + 1)
+    while not linalg._float_safe(p, k):
+        p = largest_prime_at_most(p - 1)
+    return p
+
+
+@pytest.mark.parametrize("k", [64, 512])
+def test_float_branch_at_its_bound(k):
+    # the largest (k, p) that takes the branch, and the smallest past it in
+    # k and in p, which take the int64 branch; all three must agree with it
+    p = _largest_float_prime(k)
+    for q, n, floats in [(p, k, True), (p, k + 1, False),
+                         (smallest_prime_at_least(p + 1), k, False)]:
+        assert linalg._float_safe(q, n) == floats and linalg._sum_safe(q, n)
+        ring = PrimeField(q)
+        rng = derive_rng(0, "float-bound", q, n)
+        # rows of +-(q - 1) against a column of q - 1 reach n (q - 1)^2 in magnitude
+        a = np.array([[q - 1] * n, [1 - q] * n]
+                     + [[rng.randrange(1 - q, q) for _ in range(n)] for _ in range(2)])
+        b = np.array([[q - 1] + [rng.randrange(1 - q, q) for _ in range(2)] for _ in range(n)])
+        for x, y in ((a, b), (np.stack([a, -a]), np.stack([b, b[::-1]])), (np.stack([a, -a]), b)):
+            out = matmul(ring, x, y)
+            assert out.dtype == np.int64
+            assert np.array_equal(out, (x @ y) % q)
+            xs = x.reshape(-1, *a.shape)
+            ys = np.broadcast_to(y, (len(xs),) + b.shape)
+            assert out.reshape(-1, *out.shape[-2:]).tolist() == [
+                reference_matmul(u.tolist(), v.tolist(), q) for u, v in zip(xs, ys)]
+
+
+# --- blocked elimination against the unblocked loop it replaced, on shapes
+# of two to six panels, at every elimination prime and on object dtype
+
+BLOCK_PRIMES = ELIMINATION_PRIMES + [2**80 + 13]
+
+
+def reference_echelon(p, a, reduced=True):
+    """The unblocked elimination: one outer-product update per pivot over
+    every column right of it, reduced as often as linalg._update_budget
+    allows.  Same contract as linalg._echelon."""
+    m = a % p
+    rows, cols = m.shape
+    budget = linalg._update_budget(p, m.dtype)
+    pending = 0
+    pivcols = []
+    detf = 1
+    r = 0
+    for c in range(cols):
+        if pending:
+            m[:, c] %= p
+        nz = np.flatnonzero(m[r:, c])
+        if not nz.size:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            m[[r, piv]] = m[[piv, r]]
+            detf = p - detf if detf else 0
+        inv = pow(int(m[r, c]), -1, p)
+        detf = detf * int(m[r, c]) % p
+        m[r, c:] = m[r, c:] % p * inv % p
+        if reduced:
+            others = np.flatnonzero(m[:, c])
+            others = others[others != r]
+        else:
+            others = slice(r + 1, None)
+        update = m[others, c:] - np.outer(m[others, c], m[r, c:])
+        if budget == 1:
+            m[others, c:] = update % p
+        else:
+            m[others, c:] = update
+            pending += 1
+            if pending == budget:
+                m[:, c + 1:] %= p
+                pending = 0
+        pivcols.append(c)
+        r += 1
+        if r == rows:
+            break
+    if pending:
+        m %= p
+    return m, pivcols, detf
+
+
+def low_rank(ring, rows, cols, r, rng):
+    """A random rows x cols matrix of rank at most r, and of rank r except
+    with probability about r / p: the product of two random factors with
+    entries below 2^20, summed in int64 and then mapped to the ring."""
+    left = np.array([[rng.randrange(1 << 20) for _ in range(r)] for _ in range(rows)])
+    right = np.array([[rng.randrange(1 << 20) for _ in range(cols)] for _ in range(r)])
+    return ring.array((left.reshape(rows, r) @ right.reshape(r, cols)).tolist())
+
+
+def assert_matches_reference(ring, a, monkeypatch):
+    """_echelon in both modes returns the reference's matrix, pivots and
+    det factor; rank, det and nullspace read the same, and solve equals
+    solve run on the reference.  Returns the rank."""
+    p = ring.p
+    rows, cols = a.shape
+    want = {}
+    for reduced in (False, True):
+        got, want[reduced] = linalg._echelon(p, a, reduced), reference_echelon(p, a, reduced)
+        assert got[1] == want[reduced][1] and got[2] == want[reduced][2]
+        assert got[0].dtype == want[reduced][0].dtype
+        assert np.array_equal(got[0], want[reduced][0])
+    rref, pivots, detf = want[True]
+    r = len(pivots)
+    assert rank(ring, a) == r
+    free = [c for c in range(cols) if c not in pivots]
+    ker = nullspace(ring, a)
+    assert np.array_equal(ker[free], eye(ring, len(free)))
+    assert np.array_equal(ker[pivots], (-rref[:r, free]) % p)
+    if rows == cols:
+        assert det(ring, a) == (detf if r == rows else 0)
+        b = ring.array([[(i * 7 + j) % p for j in range(2)] for i in range(rows)])
+        if r < rows:
+            with pytest.raises(SingularMatrixError):
+                linalg.solve(ring, a, b)
+        else:
+            x = linalg.solve(ring, a, b)
+            with monkeypatch.context() as patched:
+                patched.setattr(linalg, "_echelon", reference_echelon)
+                assert np.array_equal(x, linalg.solve(ring, a, b))
+            assert np.array_equal(matmul(ring, a, x), b)
+    return r
+
+
+@pytest.mark.parametrize("p", BLOCK_PRIMES)
+@pytest.mark.parametrize("rows, cols, r", [(100, 100, 100), (162, 162, 133),
+                                            (40, 130, 40), (130, 40, 40)])
+def test_blocked_elimination_matches_the_unblocked_loop(p, rows, cols, r, monkeypatch):
+    ring = PrimeField(p)
+    a = low_rank(ring, rows, cols, r, derive_rng(0, "blocked", p, rows, cols))
+    assert assert_matches_reference(ring, a, monkeypatch) == r
+
+
+@pytest.mark.parametrize("p", BLOCK_PRIMES)
+def test_a_panel_without_a_pivot(p, monkeypatch):
+    # the second panel's columns are zero, so it finds no pivot and makes no
+    # trailing update; the third panel picks up where the first left off
+    ring = PrimeField(p)
+    rng = derive_rng(0, "empty-panel", p)
+    panel = linalg.PANEL
+    a = low_rank(ring, 70, 4 * panel, 60, rng)
+    a[:, panel:2 * panel] = 0
+    assert assert_matches_reference(ring, a, monkeypatch) == 60
+    pivots = linalg._echelon(p, a, reduced=False)[1]
+    assert not [c for c in pivots if panel <= c < 2 * panel]
+
+
+@pytest.mark.parametrize("p", BLOCK_PRIMES)
+@pytest.mark.parametrize("c", [linalg.PANEL - 1, linalg.PANEL, 2 * linalg.PANEL])
+def test_pivot_swap_at_a_panel_boundary(p, c, monkeypatch):
+    # row c agrees with a combination of rows 0..c-1 on columns 0..c, so the
+    # leading (c+1)-minor is 0 and elimination must swap a row below c into
+    # place at column c, the last column of a panel or the first of one
+    ring = PrimeField(p)
+    rng = derive_rng(0, "boundary-swap", p, c)
+    n = c + 12
+    a = low_rank(ring, n, n, n, rng)
+    coef = ring.array([[ring.random(rng) for _ in range(c)]])
+    a[c, :c + 1] = matmul(ring, coef, a[:c, :c + 1])[0]
+    assert det(ring, a[:c + 1, :c + 1]) == 0
+    assert assert_matches_reference(ring, a, monkeypatch) == n
+    # reversing the rows is n (n - 1) / 2 transpositions
+    d = det(ring, a)
+    assert det(ring, a[::-1]) == (-d if n * (n - 1) // 2 % 2 else d) % p
+
+
+@pytest.mark.parametrize("p", BLOCK_PRIMES)
+@pytest.mark.parametrize("rows, cols", [(0, 70), (70, 0), (0, 0)])
+def test_empty_matrices(p, rows, cols, monkeypatch):
+    ring = PrimeField(p)
+    a = ring.array(np.zeros((rows, cols), dtype=np.int64))
+    assert assert_matches_reference(ring, a, monkeypatch) == 0
+    assert np.array_equal(nullspace(ring, a), eye(ring, cols))
